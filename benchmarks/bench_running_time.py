@@ -8,17 +8,21 @@ the property that carries over is the *relationship*: the underprovisioned
 case needs more steps/time because the optimizer keeps spreading traffic over
 more lightly-congested links before giving up.
 
-This module additionally measures the compiled/incremental traffic-model
-engine (ISSUE 2) against the pre-compiled-engine baseline — the
-:class:`~repro.trafficmodel.waterfill.ReferenceTrafficModel` scoring every
-candidate move with a full rebuild — on the same scenario, and can write the
-result (including the optimizer trajectory) to ``BENCH_running_time.json``:
+This module additionally times the compiled/incremental traffic-model engine
+on the same scenario, and can write the result (including the optimizer
+trajectory) to ``BENCH_running_time.json``:
 
     PYTHONPATH=src python -m benchmarks.bench_running_time \
         --num-pops 31 --max-steps 6 --output BENCH_running_time.json
 
-The pytest entry points run the same comparison at reduced scale and fail on
-model-equivalence drift, which is what the CI benchmark smoke job checks.
+The headline number is a single-evaluation microbenchmark: the event-driven
+:func:`~repro.trafficmodel.waterfill.reference_evaluate` against one patched
+evaluation of the compiled engine (what scoring one candidate move costs),
+each timed best of 5.  The drift gate pins the compiled engine to
+``reference_evaluate`` twice: on the shortest-path allocation, and on the
+final plan of the optimizer run.  The pytest entry points run the same
+measurement at reduced scale, which is what the CI benchmark smoke job
+checks.
 """
 
 from __future__ import annotations
@@ -30,57 +34,46 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from benchmarks.conftest import BENCH_SEED, print_header, run_once
 from repro.core.optimizer import FubarOptimizer
+from repro.core.state import AllocationState
 from repro.experiments.figures import run_running_time
 from repro.experiments.scenarios import provisioned_scenario
 from repro.metrics.reporting import format_table
-from repro.trafficmodel.waterfill import ReferenceTrafficModel
+from repro.trafficmodel.compiled import CompiledTrafficModel
+from repro.trafficmodel.waterfill import reference_evaluate
 
 #: Default location of the running-time benchmark record (repo root).
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_running_time.json"
 
 #: Schema version of BENCH_running_time.json.
-BENCH_SCHEMA = 1
+BENCH_SCHEMA = 2
 
-#: Relative tolerance for the model-equivalence drift gate: both engines must
-#: land on the same final utility (they evaluate the same model).
+#: Relative tolerance for the single-evaluation drift gate: the compiled
+#: engine and the reference model evaluate the same allocation.
 DRIFT_RTOL = 1e-6
 
+#: Relative tolerance for the final-plan drift gate: the optimizer's reported
+#: utility against ``reference_evaluate`` on the plan's own bundles.
+FINAL_DRIFT_RTOL = 1e-9
 
-def _run_engine(scenario, use_incremental: bool, max_steps: Optional[int]) -> Dict:
-    """Run FUBAR on *scenario* with one engine and return its measurements."""
-    config = replace(
-        scenario.fubar_config,
-        max_steps=max_steps,
-        use_incremental_model=use_incremental,
-    )
-    traffic_model = (
-        None if use_incremental else ReferenceTrafficModel(scenario.network)
-    )
-    optimizer = FubarOptimizer(
-        scenario.network,
-        scenario.traffic_matrix,
-        config=config,
-        traffic_model=traffic_model,
-    )
-    started = time.perf_counter()
-    result = optimizer.run()
-    wall = time.perf_counter() - started
-    evaluations = result.model_evaluations
-    return {
-        "engine": "compiled-incremental" if use_incremental else "reference-full",
-        "wall_clock_s": wall,
-        "steps": result.num_steps,
-        "model_evaluations": evaluations,
-        "ms_per_evaluation": wall / evaluations * 1e3 if evaluations else None,
-        "evaluations_per_s": evaluations / wall if wall > 0 else None,
-        "final_utility": result.network_utility,
-        "termination": result.termination_reason,
-        "trajectory": [point.as_dict() for point in result.trace],
-    }
+#: Repetitions of each microbenchmark evaluation (the best one counts).
+MICROBENCH_REPEATS = 5
+
+_T = TypeVar("_T")
+
+
+def _best_of(func: Callable[[], _T]) -> Tuple[float, _T]:
+    """Best wall clock (ms) of ``MICROBENCH_REPEATS`` calls of *func*, and its
+    result."""
+    best = float("inf")
+    for _ in range(MICROBENCH_REPEATS):
+        started = time.perf_counter()
+        value = func()
+        best = min(best, (time.perf_counter() - started) * 1e3)
+    return best, value
 
 
 def measure_incremental_speedup(
@@ -88,35 +81,29 @@ def measure_incremental_speedup(
     max_steps: Optional[int] = 6,
     **scenario_kwargs,
 ) -> Dict:
-    """Compare the compiled engine against the reference baseline.
+    """Time the compiled engine against ``reference_evaluate``.
 
-    Runs the provisioned scenario twice with an identical step budget — once
-    scoring candidates through the full reference rebuild, once through the
-    incremental delta path — and reports per-evaluation timings, the speedup,
-    and a single-evaluation microbenchmark.
+    Runs the provisioned scenario once under the step budget, pins its final
+    plan to the reference model, and times one evaluation of the
+    shortest-path allocation three ways: by the reference model, by a full
+    compiled evaluation, and as a one-bundle patch of the compiled base.
     """
     scenario = provisioned_scenario(seed=seed, **scenario_kwargs)
-    baseline = _run_engine(scenario, use_incremental=False, max_steps=max_steps)
-    compiled = _run_engine(scenario, use_incremental=True, max_steps=max_steps)
-
-    # Single-evaluation microbenchmark (shortest-path allocation).
-    from repro.core.state import AllocationState
-    from repro.trafficmodel.compiled import CompiledTrafficModel
-    from repro.trafficmodel.waterfill import reference_evaluate
-
-    state = AllocationState.initial(scenario.network, scenario.traffic_matrix)
-    bundles = state.bundles()
-
+    network = scenario.network
+    config = replace(scenario.fubar_config, max_steps=max_steps)
+    optimizer = FubarOptimizer(network, scenario.traffic_matrix, config=config)
     started = time.perf_counter()
-    reference_result = reference_evaluate(scenario.network, bundles)
-    reference_eval_ms = (time.perf_counter() - started) * 1e3
+    result = optimizer.run()
+    wall = time.perf_counter() - started
+    evaluations = result.model_evaluations
 
-    engine = CompiledTrafficModel(scenario.network)
+    bundles = AllocationState.initial(network, scenario.traffic_matrix).bundles()
+    reference_eval_ms, reference_result = _best_of(
+        lambda: reference_evaluate(network, bundles)
+    )
+    engine = CompiledTrafficModel(network)
     engine.evaluate(bundles)  # warm the row cache
-    started = time.perf_counter()
-    compiled_result = engine.evaluate(bundles)
-    compiled_eval_ms = (time.perf_counter() - started) * 1e3
-
+    compiled_eval_ms, compiled_result = _best_of(lambda: engine.evaluate(bundles))
     compiled_base = engine.compile(bundles)
     sample = bundles[0]
     patch = {
@@ -124,11 +111,12 @@ def measure_incremental_speedup(
             max(1, sample.num_flows // 2)
         )
     }
-    started = time.perf_counter()
-    patched = engine.compile_patched(compiled_base, patch)
-    solution = engine.solve(patched)
-    engine.weighted_utility(patched, solution.rates)
-    patched_eval_ms = (time.perf_counter() - started) * 1e3
+
+    def patched_evaluation() -> float:
+        patched = engine.compile_patched(compiled_base, patch)
+        return engine.weighted_utility(patched, engine.solve(patched).rates)
+
+    patched_eval_ms, _ = _best_of(patched_evaluation)
 
     return {
         "schema": BENCH_SCHEMA,
@@ -140,22 +128,18 @@ def measure_incremental_speedup(
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        "engines": {"reference": baseline, "compiled": compiled},
-        "speedup": {
-            # evaluations/s speedup is the same ratio by construction, so
-            # only the ms-per-evaluation form is recorded.
-            "ms_per_evaluation": (
-                baseline["ms_per_evaluation"] / compiled["ms_per_evaluation"]
-                if baseline["ms_per_evaluation"] and compiled["ms_per_evaluation"]
-                else None
-            ),
-            "wall_clock": (
-                baseline["wall_clock_s"] / compiled["wall_clock_s"]
-                if compiled["wall_clock_s"] > 0
-                else None
-            ),
+        "optimizer": {
+            "wall_clock_s": wall,
+            "steps": result.num_steps,
+            "model_evaluations": evaluations,
+            "ms_per_evaluation": wall / evaluations * 1e3 if evaluations else None,
+            "evaluations_per_s": evaluations / wall if wall > 0 else None,
+            "final_utility": result.network_utility,
+            "termination": result.termination_reason,
+            "trajectory": [point.as_dict() for point in result.trace],
         },
         "microbench": {
+            "repeats": MICROBENCH_REPEATS,
             "reference_eval_ms": reference_eval_ms,
             "compiled_full_eval_ms": compiled_eval_ms,
             "compiled_patched_eval_ms": patched_eval_ms,
@@ -164,10 +148,12 @@ def measure_incremental_speedup(
             ),
         },
         "drift": {
-            "final_utility_reference": baseline["final_utility"],
-            "final_utility_compiled": compiled["final_utility"],
             "single_eval_utility_reference": reference_result.network_utility(),
             "single_eval_utility_compiled": compiled_result.network_utility(),
+            "final_utility_reference": reference_evaluate(
+                network, result.state.bundles()
+            ).network_utility(),
+            "final_utility_compiled": result.network_utility,
         },
     }
 
@@ -181,41 +167,33 @@ def _assert_no_drift(record: Dict) -> None:
     )
     assert abs(
         drift["final_utility_reference"] - drift["final_utility_compiled"]
-    ) <= 1e-3 * max(abs(drift["final_utility_reference"]), 1e-12), (
-        "engines converged to different utilities under the same step budget"
+    ) <= FINAL_DRIFT_RTOL * max(abs(drift["final_utility_reference"]), 1e-12), (
+        "the final plan's utility differs from reference_evaluate on its bundles"
     )
 
 
 def _print_speedup(record: Dict) -> None:
-    print_header("Incremental traffic-model engine vs reference baseline")
-    rows = []
-    for name in ("reference", "compiled"):
-        engine = record["engines"][name]
-        rows.append(
-            (
-                name,
-                f"{engine['wall_clock_s']:.2f}",
-                engine["steps"],
-                engine["model_evaluations"],
-                f"{engine['ms_per_evaluation']:.2f}" if engine["ms_per_evaluation"] else "-",
-                f"{engine['evaluations_per_s']:.0f}" if engine["evaluations_per_s"] else "-",
-                f"{engine['final_utility']:.4f}",
-            )
-        )
+    print_header("Compiled traffic-model engine vs reference_evaluate")
+    run = record["optimizer"]
     print(
         format_table(
-            ("engine", "wall_s", "steps", "evals", "ms/eval", "evals/s", "utility"),
-            rows,
+            ("wall_s", "steps", "evals", "ms/eval", "evals/s", "utility"),
+            [
+                (
+                    f"{run['wall_clock_s']:.2f}",
+                    run["steps"],
+                    run["model_evaluations"],
+                    f"{run['ms_per_evaluation']:.2f}" if run["ms_per_evaluation"] else "-",
+                    f"{run['evaluations_per_s']:.0f}" if run["evaluations_per_s"] else "-",
+                    f"{run['final_utility']:.4f}",
+                )
+            ],
         )
     )
-    speedup = record["speedup"]
     micro = record["microbench"]
     print(
-        f"\nper-evaluation speedup: {speedup['ms_per_evaluation']:.2f}x   "
-        f"wall-clock speedup: {speedup['wall_clock']:.2f}x"
-    )
-    print(
-        f"microbench: reference {micro['reference_eval_ms']:.2f} ms, "
+        f"\nmicrobench (best of {micro['repeats']}): "
+        f"reference {micro['reference_eval_ms']:.2f} ms, "
         f"compiled full {micro['compiled_full_eval_ms']:.2f} ms, "
         f"compiled patched {micro['compiled_patched_eval_ms']:.2f} ms "
         f"({micro['full_vs_incremental_speedup']:.1f}x full-vs-incremental)"
@@ -256,18 +234,20 @@ def test_running_time(benchmark):
 
 
 def test_incremental_engine_speedup_and_equivalence(benchmark):
-    """The CI smoke gate: both engines agree; the compiled one is not slower.
+    """The CI smoke gate: the compiled engine matches ``reference_evaluate``
+    and a patched evaluation is not slower than a reference one.
 
     At the default reduced scale the absolute speedup is modest (smaller
     matrices shrink the reference model's disadvantage), so the hard gate is
-    model equivalence; the ≥3x acceptance number is recorded at full scale in
+    model equivalence; the full-scale number is recorded in
     BENCH_running_time.json.
     """
     record = run_once(benchmark, measure_incremental_speedup, max_steps=4)
     _print_speedup(record)
     _assert_no_drift(record)
-    assert record["speedup"]["ms_per_evaluation"] is not None
-    assert record["speedup"]["ms_per_evaluation"] > 0.8
+    speedup = record["microbench"]["full_vs_incremental_speedup"]
+    assert speedup is not None
+    assert speedup > 0.8
 
 
 # -------------------------------------------------------------------- main
@@ -288,7 +268,7 @@ def main(argv=None) -> int:
         "--max-steps",
         type=int,
         default=6,
-        help="step budget per engine (bounds the baseline's wall clock)",
+        help="step budget of the optimizer run",
     )
     parser.add_argument(
         "--output",

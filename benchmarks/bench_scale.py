@@ -2,15 +2,17 @@
 
 The optimizer's inner loop scores every candidate move of a congested link;
 at internet scale that scoring dominates wall clock.  This benchmark builds
-the hot-path workload exactly as :func:`repro.core.step._best_move_incremental`
-does — one compiled base, one ``move_delta`` patch per candidate — and times
-the two scoring paths against each other on tiered hierarchical topologies
-of increasing size:
+the hot-path workload exactly as :func:`repro.core.step._best_move` does —
+one compiled base, one ``move_delta`` patch per candidate — and times two
+ways of scoring it against each other on tiered hierarchical topologies of
+increasing size:
 
 * **per-move** — ``compile_patched`` + ``solve`` + ``weighted_utility`` per
-  candidate (the ``use_batched_scorer=False`` branch), and
+  candidate (the oracle ``tests/test_batched_scorer.py`` checks the
+  optimizer's moves against), and
 * **batched** — one :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer`
-  scoring the same candidates through stacked ``solve_batched`` calls.
+  scoring the same candidates through stacked ``solve_batched`` calls, as
+  the optimizer does.
 
 The two paths are *bitwise* equivalent (see
 ``tests/test_batched_scorer.py``), so the benchmark hard-fails on any score
@@ -64,7 +66,7 @@ def build_scoring_workload(
 ) -> Dict:
     """The hot-path inputs of one optimizer step on a tiered topology.
 
-    Mirrors ``_best_move_incremental``: evaluate the initial allocation,
+    Mirrors ``_best_move``: evaluate the initial allocation,
     take the most congested link, enumerate its candidate moves, and turn
     each into the ``move_delta`` patch the scorer consumes.
     """

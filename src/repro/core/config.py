@@ -54,24 +54,6 @@ class FubarConfig:
         When True the recorder captures a trace point after every committed
         move (needed to redraw Figures 3–5); when False only at the start and
         end, which is slightly faster for large runs.
-    use_incremental_model:
-        When True (default) candidate moves are scored through the compiled
-        traffic-model engine's delta-evaluation path
-        (:meth:`~repro.trafficmodel.compiled.CompiledTrafficModel.evaluate_patched`),
-        which patches only the bundles a move changes.  When False each
-        candidate rebuilds and evaluates the full bundle list — the
-        pre-compiled-engine behaviour, kept for the running-time benchmarks
-        and equivalence checks.
-    use_batched_scorer:
-        When True (default) the incremental path scores all candidate moves
-        of a step through stacked block-diagonal solves
-        (:class:`~repro.trafficmodel.compiled.BatchedCandidateScorer`)
-        instead of one solve per candidate, amortizing the per-solve setup
-        costs — the difference is what keeps steps tractable on 1000-node
-        tiered topologies.  Scores are bitwise equal either way, so the
-        selected moves are identical; the flag exists for benchmarks and
-        equivalence tests.  Only takes effect when ``use_incremental_model``
-        is on.
     """
 
     move_fraction: float = 0.25
@@ -83,8 +65,6 @@ class FubarConfig:
     max_wall_clock_s: Optional[float] = None
     priority_weights: PriorityWeights = field(default_factory=PriorityWeights.uniform)
     record_every_step: bool = True
-    use_incremental_model: bool = True
-    use_batched_scorer: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.move_fraction <= 1.0:

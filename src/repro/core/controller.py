@@ -16,19 +16,18 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from repro.paths.cache import PathSetCache
     from repro.trafficmodel.compiled import CompiledModelCache
 
 from repro.core.config import FubarConfig
 from repro.core.optimizer import FubarOptimizer, FubarResult
 from repro.core.routing import RoutingTable
 from repro.core.state import AllocationState
-from repro.paths.generator import PathGenerator
+from repro.paths.cache import PathSetCache, path_generator_for
 from repro.paths.policy import PathPolicy
 from repro.topology.graph import Network
 from repro.topology.validation import require_routable
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.waterfill import TrafficModelConfig
+from repro.trafficmodel.waterfill import TrafficModelConfig, traffic_model_for
 from repro.utility.aggregation import PriorityWeights
 
 
@@ -87,7 +86,7 @@ class Fubar:
         Traffic-model configuration (RTT floor, RTT fairness on/off).
     path_cache:
         Optional warm :class:`~repro.paths.cache.PathSetCache`; used only
-        under the unrestricted default policy (the cache serves one policy).
+        when it serves *policy*.
     model_cache:
         Optional warm
         :class:`~repro.trafficmodel.compiled.CompiledModelCache` supplying
@@ -100,7 +99,7 @@ class Fubar:
         config: Optional[FubarConfig] = None,
         policy: Optional[PathPolicy] = None,
         model_config: Optional[TrafficModelConfig] = None,
-        path_cache: Optional["PathSetCache"] = None,
+        path_cache: Optional[PathSetCache] = None,
         model_cache: Optional["CompiledModelCache"] = None,
     ) -> None:
         require_routable(network)
@@ -130,24 +129,15 @@ class Fubar:
         config:
             Per-cycle configuration override; defaults to the controller's.
         """
-        if self._path_cache is not None and self.policy == PathPolicy.unrestricted():
-            generator = self._path_cache.generator_for(self.network)
-        else:
-            generator = PathGenerator(self.network, self.policy)
-        traffic_model = None
-        if self._model_cache is not None:
-            from repro.trafficmodel.waterfill import TrafficModel
-
-            traffic_model = TrafficModel.from_engine(
-                self._model_cache.engine_for(self.network, self.model_config)
-            )
+        generator = path_generator_for(self.network, self.policy, self._path_cache)
         optimizer = FubarOptimizer(
             self.network,
             traffic_matrix,
             config=config or self.config,
             path_generator=generator,
-            traffic_model=traffic_model,
-            model_config=None if traffic_model is not None else self.model_config,
+            traffic_model=traffic_model_for(
+                self.network, self.model_config, self._model_cache
+            ),
         )
         initial_state = None
         initial_path_sets = None

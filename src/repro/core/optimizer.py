@@ -185,11 +185,7 @@ class FubarOptimizer:
             progress = False
             # Compile the current allocation once and share it across every
             # congested link this iteration visits; candidate moves patch it.
-            compiled_base = (
-                self.model.engine.compile(state.bundles())
-                if config.use_incremental_model
-                else None
-            )
+            compiled_base = self.model.engine.compile(state.bundles())
             for link_id in result.congested_links_by_oversubscription():
                 step_result = perform_step(
                     link_id,

@@ -5,9 +5,10 @@ one path and put them on another — and :class:`AllocationState` is the
 immutable-ish record those moves are applied to.  A state knows how to turn
 itself into the bundle list the traffic model consumes.
 
-States are cheap to fork (:meth:`AllocationState.with_move` copies only the
-allocation of the affected aggregate), because the optimizer forks one for
-every candidate move it evaluates.
+The optimizer scores a candidate move as a bundle patch
+(:meth:`AllocationState.move_delta`) and forks a state only for the move it
+commits (:meth:`AllocationState.with_move` copies only the allocation of the
+affected aggregate).
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class AllocationState:
         """The bundle patch a move induces, for the compiled traffic model.
 
         Returns the two changed rows in the shape
-        :meth:`repro.trafficmodel.compiled.CompiledTrafficModel.evaluate_patched`
+        :meth:`repro.trafficmodel.compiled.CompiledTrafficModel.compile_patched`
         consumes: the shrunk (or removed, when every flow leaves) from-path
         bundle and the grown (or brand-new) to-path bundle.  The state itself
         is not modified; commit the winning move with :meth:`with_move`.

@@ -148,7 +148,7 @@ def _candidate_moves(
             yield bundle, candidate, num_to_move
 
 
-def _best_move_incremental(
+def _best_move(
     link_id: LinkId,
     state: AllocationState,
     path_sets: Dict[AggregateKey, PathSet],
@@ -159,17 +159,13 @@ def _best_move_incremental(
     escalation_level: int,
     compiled_base: Optional[CompiledBundles],
 ) -> Optional[_Move]:
-    """Score candidates through the compiled engine's delta path.
+    """The first candidate move with the best score, or None if none improves.
 
-    The base bundle list is compiled once; every candidate patches only the
-    one or two bundles its move changes, and is scored with the vectorized
-    utility roll-up — no result objects, no graph walks.
-
-    With ``config.use_batched_scorer`` (the default) all candidate patches
-    are scored through stacked :meth:`~repro.trafficmodel.compiled.
-    CompiledTrafficModel.solve_batched` calls; the batched scores are
-    bitwise equal to per-move solves, so both branches select the same
-    move (tests/test_batched_scorer.py).
+    The base bundle list is compiled once; every candidate becomes a
+    ``move_delta`` patch of the one or two bundles it changes, and one
+    :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer` scores them
+    all through stacked solves — no result objects, no graph walks.  A move
+    must beat the current utility by ``config.min_utility_improvement``.
     """
     engine = model.engine
     weights = config.priority_weights
@@ -187,69 +183,22 @@ def _best_move_incremental(
     best_score += config.min_utility_improvement
     best: Optional[_Move] = None
 
-    if config.use_batched_scorer:
-        moves: List[_Move] = []
-        deltas = []
-        for bundle, candidate, num_to_move in _candidate_moves(
-            link_id, state, path_sets, generator, config, current_result,
-            escalation_level,
-        ):
-            key = bundle.aggregate_key
-            moves.append((key, bundle.path, candidate, num_to_move))
-            deltas.append(state.move_delta(key, bundle.path, candidate, num_to_move))
-        if not moves:
-            return None
-        scorer = BatchedCandidateScorer(engine, compiled_base, weights)
-        for move, score in zip(moves, scorer.score(deltas)):
-            if score > best_score:
-                best_score = score
-                best = move
-        return best
-
+    moves: List[_Move] = []
+    deltas = []
     for bundle, candidate, num_to_move in _candidate_moves(
-        link_id, state, path_sets, generator, config, current_result, escalation_level
+        link_id, state, path_sets, generator, config, current_result,
+        escalation_level,
     ):
         key = bundle.aggregate_key
-        delta = state.move_delta(key, bundle.path, candidate, num_to_move)
-        patched = engine.compile_patched(compiled_base, delta)
-        solution = engine.solve(patched)
-        score = engine.weighted_utility(patched, solution.rates, weights)
+        moves.append((key, bundle.path, candidate, num_to_move))
+        deltas.append(state.move_delta(key, bundle.path, candidate, num_to_move))
+    if not moves:
+        return None
+    scorer = BatchedCandidateScorer(engine, compiled_base, weights)
+    for move, score in zip(moves, scorer.score(deltas)):
         if score > best_score:
             best_score = score
-            best = (key, bundle.path, candidate, num_to_move)
-    return best
-
-
-def _best_move_full(
-    link_id: LinkId,
-    state: AllocationState,
-    path_sets: Dict[AggregateKey, PathSet],
-    model: TrafficModel,
-    generator: PathGenerator,
-    config: FubarConfig,
-    current_result: TrafficModelResult,
-    escalation_level: int,
-) -> Optional[Tuple[_Move, AllocationState, TrafficModelResult]]:
-    """Score candidates by rebuilding and evaluating the full bundle list
-    (the pre-compiled-engine behaviour, kept for benchmarks/ablations).
-
-    Returns the winning move together with its already-evaluated trial
-    state/result so the caller does not pay a second full evaluation."""
-    weights = config.priority_weights
-    best_utility = current_result.network_utility(weights)
-    best_utility += config.min_utility_improvement
-    best: Optional[Tuple[_Move, AllocationState, TrafficModelResult]] = None
-
-    for bundle, candidate, num_to_move in _candidate_moves(
-        link_id, state, path_sets, generator, config, current_result, escalation_level
-    ):
-        key = bundle.aggregate_key
-        trial_state = state.with_move(key, bundle.path, candidate, num_to_move)
-        trial_result = model.evaluate(trial_state.bundles())
-        utility = trial_result.network_utility(weights)
-        if utility > best_utility:
-            best_utility = utility
-            best = ((key, bundle.path, candidate, num_to_move), trial_state, trial_result)
+            best = move
     return best
 
 
@@ -266,13 +215,10 @@ def perform_step(
 ) -> StepResult:
     """Run one step of Listing 2 on the congested link *link_id*.
 
-    Candidate moves are scored through the compiled engine's incremental
-    path (``config.use_incremental_model``, the default) or by full
-    re-evaluation.  In the incremental case the winning move is committed by
-    evaluating the moved state once (the patched arrays served scoring
-    only); the full path reuses the winner's trial result directly.  Either
-    way the returned result reflects the canonical bundle ordering of the
-    new state.
+    Candidate moves are scored on patched compiled arrays (see
+    :func:`_best_move`); the winning move is then committed by evaluating
+    the moved state once, so the returned result reflects the canonical
+    bundle ordering of the new state.
 
     Returns a :class:`StepResult`; when ``progress`` is True the returned
     state/result reflect the committed move and the moved-to path has been
@@ -284,36 +230,17 @@ def perform_step(
     """
     weights = config.priority_weights
     utility_before = current_result.network_utility(weights)
-
-    new_state: Optional[AllocationState] = None
-    new_result: Optional[TrafficModelResult] = None
-    if config.use_incremental_model:
-        best = _best_move_incremental(
-            link_id,
-            state,
-            path_sets,
-            model,
-            generator,
-            config,
-            current_result,
-            escalation_level,
-            compiled_base,
-        )
-    else:
-        full_best = _best_move_full(
-            link_id,
-            state,
-            path_sets,
-            model,
-            generator,
-            config,
-            current_result,
-            escalation_level,
-        )
-        best = None
-        if full_best is not None:
-            best, new_state, new_result = full_best
-
+    best = _best_move(
+        link_id,
+        state,
+        path_sets,
+        model,
+        generator,
+        config,
+        current_result,
+        escalation_level,
+        compiled_base,
+    )
     if best is None:
         return StepResult(
             progress=False,
@@ -325,11 +252,8 @@ def perform_step(
         )
 
     key, from_path, to_path, moved = best
-    if new_state is None or new_result is None:
-        # Incremental scoring worked on patched arrays; commit the winner by
-        # evaluating the moved state once, in its canonical bundle ordering.
-        new_state = state.with_move(key, from_path, to_path, moved)
-        new_result = model.evaluate(new_state.bundles())
+    new_state = state.with_move(key, from_path, to_path, moved)
+    new_result = model.evaluate(new_state.bundles())
     if key in path_sets:
         path_sets[key].add(to_path)
     return StepResult(

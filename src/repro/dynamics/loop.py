@@ -399,14 +399,13 @@ def run_control_loop(
     this function owns only the epoch clock, the wall-clock timing and the
     record assembly.
 
-    When *path_cache* is given, path generators are obtained through it
-    instead of rebuilt from scratch on every topology change: a repair that
-    restores a previously seen topology (most commonly the base network)
-    reuses that topology's generator together with its warm shortest-path
-    cache.  The cache keys on topology content, so any capacity change or
-    failure still gets a fresh generator (see
-    :mod:`repro.paths.cache`).  The cache must have been built with the
-    same *policy* passed here.
+    When *path_cache* is given and serves *policy*, path generators are
+    obtained through it instead of rebuilt from scratch on every topology
+    change: a repair that restores a previously seen topology (most
+    commonly the base network) reuses that topology's generator together
+    with its warm shortest-path cache.  The cache keys on topology content,
+    so any capacity change or failure still gets a fresh generator (see
+    :mod:`repro.paths.cache`).
 
     *model_cache* (a
     :class:`~repro.trafficmodel.compiled.CompiledModelCache`) plays the same

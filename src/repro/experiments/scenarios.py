@@ -28,6 +28,7 @@ from typing import Any, Dict, Optional
 from repro.baselines.shortest_path import shortest_path_routing
 from repro.core.config import FubarConfig
 from repro.exceptions import ExperimentError
+from repro.paths.cache import path_generator_for
 from repro.topology.graph import Network
 from repro.topology.hurricane_electric import (
     PROVISIONED_CAPACITY_BPS,
@@ -40,6 +41,7 @@ from repro.topology.zoo import abilene, geant
 from repro.traffic.classes import LARGE_TRANSFER
 from repro.traffic.generators import PaperTrafficConfig, paper_traffic_matrix
 from repro.traffic.matrix import TrafficMatrix
+from repro.trafficmodel.waterfill import traffic_model_for
 from repro.utility.aggregation import PriorityWeights
 
 #: Environment variable that switches every scenario to the paper's full scale.
@@ -121,8 +123,12 @@ def calibrate_flow_counts(
     baseline = shortest_path_routing(
         network,
         traffic_matrix,
-        generator=caches.generator_for(network) if caches else None,
-        model=caches.model_for(network) if caches else None,
+        generator=path_generator_for(
+            network, cache=caches.path_cache if caches else None
+        ),
+        model=traffic_model_for(
+            network, cache=caches.model_cache if caches else None
+        ),
     )
     demanded = baseline.model_result.demanded_utilization()
     if demanded <= 0.0:

@@ -26,7 +26,7 @@ from repro.paths.generator import PathGenerator
 from repro.paths.policy import PathPolicy
 from repro.topology.graph import Network
 
-__all__ = ["PathSetCache", "topology_signature"]
+__all__ = ["PathSetCache", "path_generator_for", "topology_signature"]
 
 #: Default number of distinct topologies a cache retains (LRU beyond that).
 DEFAULT_MAX_ENTRIES = 16
@@ -129,3 +129,20 @@ class PathSetCache:
         self._generators.clear()
         self.hits = 0
         self.misses = 0
+
+
+def path_generator_for(
+    network: Network,
+    policy: Optional[PathPolicy] = None,
+    cache: Optional[PathSetCache] = None,
+) -> PathGenerator:
+    """A path generator for *network* under *policy* (default: unrestricted).
+
+    Returns *cache*'s warm generator when the cache serves exactly that
+    policy, and a fresh generator carrying *policy* otherwise — a cache
+    built for one policy must never hand its paths to another.
+    """
+    wanted = policy or PathPolicy.unrestricted()
+    if cache is not None and (cache.policy or PathPolicy.unrestricted()) == wanted:
+        return cache.generator_for(network)
+    return PathGenerator(network, wanted)

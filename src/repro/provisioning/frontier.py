@@ -34,15 +34,14 @@ from repro.core.config import FubarConfig
 from repro.core.optimizer import FubarOptimizer, FubarResult
 from repro.core.state import AllocationState
 from repro.exceptions import ProvisioningError
-from repro.paths.generator import PathGenerator
+from repro.paths.cache import PathSetCache, path_generator_for
 from repro.paths.pathset import PathSet
 from repro.topology.graph import Network
 from repro.traffic.aggregate import AggregateKey
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.waterfill import TrafficModel
+from repro.trafficmodel.waterfill import traffic_model_for
 
 if TYPE_CHECKING:
-    from repro.paths.cache import PathSetCache
     from repro.trafficmodel.compiled import CompiledModelCache
 
 
@@ -169,7 +168,7 @@ class _ProbeRunner:
         traffic_matrix: TrafficMatrix,
         config: Optional[FubarConfig],
         warm_start: bool,
-        path_cache: Optional["PathSetCache"] = None,
+        path_cache: Optional[PathSetCache] = None,
         model_cache: Optional["CompiledModelCache"] = None,
     ) -> None:
         traffic_matrix.require_routable_on(network)
@@ -186,29 +185,6 @@ class _ProbeRunner:
         return self.network.with_uniform_capacity(
             capacity_bps, name=f"{self.network.name}@{capacity_bps / 1e6:g}Mbps"
         )
-
-    def generator_for(self, probe_network: Network) -> PathGenerator:
-        """A (possibly warm) path generator for one probe network.
-
-        Every probed capacity has a distinct topology signature, so a warm
-        cache only hits when the *same* capacity is probed again — which is
-        exactly what happens when consecutive sweep cells rerun the search.
-        """
-        if self.path_cache is not None:
-            return self.path_cache.generator_for(probe_network)
-        return PathGenerator(probe_network)
-
-    def model_for(self, probe_network: Network) -> TrafficModel:
-        """A (possibly warm) traffic model for one probe network.
-
-        Evaluation accounting is unaffected: every caller counts its own
-        evaluations explicitly rather than reading the shared counter.
-        """
-        if self.model_cache is not None:
-            return TrafficModel.from_engine(
-                self.model_cache.engine_for(probe_network)
-            )
-        return TrafficModel(probe_network)
 
     def warm_source(
         self, capacity_bps: float, probe_network: Network
@@ -232,7 +208,7 @@ class _ProbeRunner:
         if len(candidates) == 1:
             source = self.results[candidates[0]]
             return source, rebase_state(source.state, probe_network), 0
-        model = self.model_for(probe_network)
+        model = traffic_model_for(probe_network, cache=self.model_cache)
         scored = []
         for capacity in candidates:
             source = self.results[capacity]
@@ -255,12 +231,8 @@ class _ProbeRunner:
             probe_network,
             self.traffic_matrix,
             config=self.config,
-            path_generator=self.generator_for(probe_network),
-            traffic_model=(
-                self.model_for(probe_network)
-                if self.model_cache is not None
-                else None
-            ),
+            path_generator=path_generator_for(probe_network, cache=self.path_cache),
+            traffic_model=traffic_model_for(probe_network, cache=self.model_cache),
         )
         source, initial_state, scoring_evaluations = self.warm_source(
             capacity_bps, probe_network
@@ -311,7 +283,7 @@ def minimal_uniform_capacity(
     max_probes: int = 12,
     fubar_config: Optional[FubarConfig] = None,
     warm_start: bool = True,
-    path_cache: Optional["PathSetCache"] = None,
+    path_cache: Optional[PathSetCache] = None,
     model_cache: Optional["CompiledModelCache"] = None,
 ) -> CapacityFrontier:
     """Find the smallest uniform link capacity that meets a utility target.
@@ -422,7 +394,9 @@ def _repair_monotone(
         state = own_state
         if point.utility < best_utility and best_state is not None:
             probe_network = runner.network_at(point.capacity_bps)
-            rescored = runner.model_for(probe_network).evaluate(
+            rescored = traffic_model_for(
+                probe_network, cache=runner.model_cache
+            ).evaluate(
                 rebase_state(best_state, probe_network).bundles()
             )
             runner.total_model_evaluations += 1

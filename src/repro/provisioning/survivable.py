@@ -30,7 +30,7 @@ from repro.exceptions import ProvisioningError
 from repro.failures.degraded import degrade
 from repro.failures.recovery import prune_warm_start, split_routable
 from repro.failures.schedule import undirected_link_pairs
-from repro.paths.generator import PathGenerator
+from repro.paths.cache import PathSetCache, path_generator_for
 from repro.provisioning.frontier import (
     DEFAULT_MAX_SCALE,
     DEFAULT_MIN_SCALE,
@@ -43,7 +43,6 @@ from repro.topology.graph import LinkId, Network
 from repro.traffic.matrix import TrafficMatrix
 
 if TYPE_CHECKING:
-    from repro.paths.cache import PathSetCache
     from repro.trafficmodel.compiled import CompiledModelCache
 
 
@@ -117,7 +116,7 @@ def utility_under_failure(
     warm_path_sets: Optional[Dict] = None,
     routable: Optional[TrafficMatrix] = None,
     stranded_flows: Optional[int] = None,
-    path_cache: Optional["PathSetCache"] = None,
+    path_cache: Optional[PathSetCache] = None,
 ) -> Tuple[float, int]:
     """Re-optimized utility of *traffic_matrix* after one fibre cut.
 
@@ -133,11 +132,7 @@ def utility_under_failure(
     per-aggregate path checks once.
     """
     degraded = degrade(network, failed_links=[failed_link])
-    generator = (
-        path_cache.generator_for(degraded)
-        if path_cache is not None
-        else PathGenerator(degraded)
-    )
+    generator = path_generator_for(degraded, cache=path_cache)
     if routable is None:
         routable, stranded = split_routable(traffic_matrix, generator)
         stranded_flows = sum(a.num_flows for a in stranded)
@@ -187,7 +182,7 @@ class _FailureCase:
 def _enumerate_failures(
     network: Network,
     traffic_matrix: TrafficMatrix,
-    path_cache: Optional["PathSetCache"] = None,
+    path_cache: Optional[PathSetCache] = None,
 ) -> List[_FailureCase]:
     """Precompute the routability split of every single-fibre cut.
 
@@ -198,11 +193,7 @@ def _enumerate_failures(
     cases: List[_FailureCase] = []
     for pair in undirected_link_pairs(network):
         degraded = degrade(network, failed_links=[pair])
-        generator = (
-            path_cache.generator_for(degraded)
-            if path_cache is not None
-            else PathGenerator(degraded)
-        )
+        generator = path_generator_for(degraded, cache=path_cache)
         routable, stranded = split_routable(traffic_matrix, generator)
         cases.append(
             _FailureCase(
@@ -225,7 +216,7 @@ def survivable_capacity(
     fubar_config: Optional[FubarConfig] = None,
     warm_start: bool = True,
     skip_disconnecting: bool = True,
-    path_cache: Optional["PathSetCache"] = None,
+    path_cache: Optional[PathSetCache] = None,
     model_cache: Optional["CompiledModelCache"] = None,
 ) -> SurvivableCapacityResult:
     """Find the smallest uniform capacity that survives every fibre cut.

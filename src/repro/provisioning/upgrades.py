@@ -32,14 +32,13 @@ import numpy as np
 from repro.core.config import FubarConfig
 from repro.core.optimizer import FubarOptimizer, FubarResult
 from repro.exceptions import ProvisioningError
-from repro.paths.generator import PathGenerator
+from repro.paths.cache import PathSetCache, path_generator_for
 from repro.provisioning.frontier import rebase_state
 from repro.topology.graph import LinkId, Network
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.compiled import CompiledTrafficModel
+from repro.trafficmodel.waterfill import traffic_model_for
 
 if TYPE_CHECKING:
-    from repro.paths.cache import PathSetCache
     from repro.trafficmodel.compiled import CompiledModelCache
 
 
@@ -163,7 +162,7 @@ def greedy_link_upgrades(
     candidates_per_round: int = 4,
     fubar_config: Optional[FubarConfig] = None,
     warm_start: bool = True,
-    path_cache: Optional["PathSetCache"] = None,
+    path_cache: Optional[PathSetCache] = None,
     model_cache: Optional["CompiledModelCache"] = None,
 ) -> UpgradePlan:
     """Greedily upgrade the most valuable congested fibres.
@@ -197,22 +196,12 @@ def greedy_link_upgrades(
     traffic_matrix.require_routable_on(network)
     config = fubar_config or FubarConfig()
 
-    def _generator_for(topology: Network) -> PathGenerator:
-        if path_cache is not None:
-            return path_cache.generator_for(topology)
-        return PathGenerator(topology)
-
-    def _engine_for(topology: Network) -> CompiledTrafficModel:
-        if model_cache is not None:
-            return model_cache.engine_for(topology)
-        return CompiledTrafficModel(topology)
-
     current_network = network
     result: FubarResult = FubarOptimizer(
         current_network,
         traffic_matrix,
         config=config,
-        path_generator=_generator_for(current_network),
+        path_generator=path_generator_for(current_network, cache=path_cache),
     ).run()
     plan = UpgradePlan(
         base_utility=result.weighted_utility,
@@ -241,7 +230,7 @@ def greedy_link_upgrades(
 
         # Cheap probes: compile the incumbent allocation once, then score
         # every candidate by solving with a patched capacity vector.
-        engine = _engine_for(current_network)
+        engine = traffic_model_for(current_network, cache=model_cache).engine
         compiled = engine.compile(result.state.bundles())
         base_capacities = np.asarray(current_network.capacities(), dtype=float)
         utility_now = engine.weighted_utility(
@@ -286,7 +275,7 @@ def greedy_link_upgrades(
             upgraded,
             traffic_matrix,
             config=config,
-            path_generator=_generator_for(upgraded),
+            path_generator=path_generator_for(upgraded, cache=path_cache),
         )
         utility_before = result.weighted_utility
         if warm_start:

@@ -47,6 +47,7 @@ from repro.dynamics.scenarios import is_dynamic, run_scenario_loop
 from repro.exceptions import ExperimentError
 from repro.experiments.scenarios import Scenario
 from repro.metrics.reporting import relative_improvement
+from repro.paths.cache import path_generator_for
 from repro.provisioning.scenarios import (
     ProvisioningOutcome,
     is_provisioning,
@@ -61,6 +62,7 @@ from repro.runner.worker import (
     clear_worker_caches,
     install_worker_caches,
 )
+from repro.trafficmodel.waterfill import traffic_model_for
 
 #: Records and spec hashing share one schema version: an incompatible record
 #: change must bump ``SPEC_SCHEMA_VERSION`` in :mod:`repro.runner.spec`,
@@ -211,30 +213,23 @@ def evaluate_cell(
             model_cache=model_cache,
         )
         plan = controller.optimize(scenario.traffic_matrix)
-    if caches is not None:
-        shared_generator = caches.generator_for(scenario.network)
-        shared_model = caches.model_for(scenario.network)
-        baselines = {
-            name: runner(
-                scenario.network,
-                scenario.traffic_matrix,
-                generator=shared_generator,
-                model=shared_model,
-            )
-            for name, runner in _BASELINE_RUNNERS.items()
-        }
-        bound = upper_bound_utility(
+    generator = path_generator_for(scenario.network, cache=path_cache)
+    model = traffic_model_for(scenario.network, cache=model_cache)
+    baselines = {
+        name: runner(
             scenario.network,
             scenario.traffic_matrix,
-            generator=shared_generator,
-            model=shared_model,
+            generator=generator,
+            model=model,
         )
-    else:
-        baselines = {
-            name: runner(scenario.network, scenario.traffic_matrix)
-            for name, runner in _BASELINE_RUNNERS.items()
-        }
-        bound = upper_bound_utility(scenario.network, scenario.traffic_matrix)
+        for name, runner in _BASELINE_RUNNERS.items()
+    }
+    bound = upper_bound_utility(
+        scenario.network,
+        scenario.traffic_matrix,
+        generator=generator,
+        model=model,
+    )
     return CellOutcome(
         spec=spec,
         scenario=scenario,

@@ -22,10 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.paths.cache import PathSetCache
-from repro.paths.generator import PathGenerator
-from repro.topology.graph import Network
-from repro.trafficmodel.compiled import CompiledModelCache, CompiledTrafficModel
-from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.trafficmodel.compiled import CompiledModelCache
 
 __all__ = [
     "WorkerCaches",
@@ -39,8 +36,8 @@ class WorkerCaches:
     """One worker process's warm state: path sets plus compiled-model engines.
 
     The path cache serves the unrestricted default policy only — cells that
-    optimize under a custom path policy build their own generators, exactly
-    as before.
+    optimize under a custom path policy build their own generators
+    (:func:`~repro.paths.cache.path_generator_for` checks the policy).
     """
 
     __slots__ = ("path_cache", "model_cache")
@@ -52,22 +49,6 @@ class WorkerCaches:
     ) -> None:
         self.path_cache = path_cache or PathSetCache()
         self.model_cache = model_cache or CompiledModelCache()
-
-    def generator_for(self, network: Network) -> PathGenerator:
-        """The warm path generator for *network* (default policy)."""
-        return self.path_cache.generator_for(network)
-
-    def engine_for(
-        self, network: Network, config: Optional[TrafficModelConfig] = None
-    ) -> CompiledTrafficModel:
-        """The warm compiled engine for *network* under *config*."""
-        return self.model_cache.engine_for(network, config)
-
-    def model_for(
-        self, network: Network, config: Optional[TrafficModelConfig] = None
-    ) -> TrafficModel:
-        """A :class:`TrafficModel` wrapping the warm engine for *network*."""
-        return TrafficModel.from_engine(self.engine_for(network, config))
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/size counters of both caches (for bench reporting)."""

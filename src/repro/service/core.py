@@ -45,8 +45,7 @@ from repro.core.state import AllocationState, apportion_flows
 from repro.exceptions import DynamicsError
 from repro.failures.degraded import DegradedNetwork, normalize_failed_links
 from repro.failures.recovery import prune_warm_start, split_routable
-from repro.paths.cache import PathSetCache
-from repro.paths.generator import PathGenerator
+from repro.paths.cache import PathSetCache, path_generator_for
 from repro.paths.pathset import PathSet
 from repro.paths.policy import PathPolicy
 from repro.sdn.controller import InstallReport, SdnController
@@ -57,7 +56,7 @@ from repro.traffic.aggregate import Aggregate, AggregateKey
 from repro.traffic.matrix import TrafficMatrix
 from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.result import TrafficModelResult
-from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.trafficmodel.waterfill import TrafficModelConfig, traffic_model_for
 
 __all__ = [
     "CarryOutcome",
@@ -178,6 +177,8 @@ class ControllerCore:
     traffic-model engines across topology changes (a repair restoring the
     base network is a cache hit); when omitted, generators and models are
     rebuilt on every topology change, exactly like the pre-refactor loop.
+    A path cache built for another policy than *policy* is not used (see
+    :func:`~repro.paths.cache.path_generator_for`).
     """
 
     def __init__(
@@ -201,8 +202,8 @@ class ControllerCore:
         self._model_cache = model_cache
         self._sdn = SdnController(network)
         self._current: Network = network
-        self._generator = self._generator_for(network)
-        self._model = self._model_for(network)
+        self._generator = path_generator_for(network, policy, path_cache)
+        self._model = traffic_model_for(network, model_config, model_cache)
         self._observed: Optional[TrafficMatrix] = None
         self._warm = _WarmSeed()
         self._last_plan: Optional[FubarPlan] = None
@@ -250,20 +251,6 @@ class ControllerCore:
         """Number of :meth:`carry` transitions performed so far."""
         return self._epochs_carried
 
-    # ------------------------------------------------------------ factories
-
-    def _generator_for(self, topology: Network) -> PathGenerator:
-        if self._path_cache is not None:
-            return self._path_cache.generator_for(topology)
-        return PathGenerator(topology, self._policy)
-
-    def _model_for(self, topology: Network) -> TrafficModel:
-        if self._model_cache is not None:
-            return TrafficModel.from_engine(
-                self._model_cache.engine_for(topology, self._model_config)
-            )
-        return TrafficModel(topology, self._model_config)
-
     # ----------------------------------------------------------- transitions
 
     def on_measurement(self, matrix: TrafficMatrix) -> None:
@@ -295,8 +282,8 @@ class ControllerCore:
         if newly_dead:
             invalidated = self._sdn.uninstall_rules_crossing(newly_dead)
         self._current = topology
-        self._generator = self._generator_for(topology)
-        self._model = self._model_for(topology)
+        self._generator = path_generator_for(topology, self._policy, self._path_cache)
+        self._model = traffic_model_for(topology, self._model_config, self._model_cache)
         if self._warm.state is not None:
             pruned = prune_warm_start(
                 self._warm.state, self._warm.path_sets, topology, self._generator
@@ -372,12 +359,7 @@ class ControllerCore:
             routable,
             config=self.fubar_config,
             path_generator=self._generator,
-            traffic_model=(
-                self._model_for(self._current)
-                if self._model_cache is not None
-                else None
-            ),
-            model_config=None if self._model_cache is not None else self._model_config,
+            traffic_model=self._model,
         )
         initial_state = None
         initial_path_sets = None

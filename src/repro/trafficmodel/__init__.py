@@ -13,7 +13,6 @@ from repro.trafficmodel.result import (
 )
 from repro.trafficmodel.waterfill import (
     MIN_RTT_S,
-    ReferenceTrafficModel,
     TrafficModel,
     TrafficModelConfig,
     evaluate_bundles,
@@ -27,7 +26,6 @@ __all__ = [
     "CompiledBundles",
     "CompiledTrafficModel",
     "MIN_RTT_S",
-    "ReferenceTrafficModel",
     "SATURATION_TOLERANCE",
     "TrafficModel",
     "TrafficModelConfig",

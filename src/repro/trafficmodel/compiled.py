@@ -755,8 +755,8 @@ class CompiledTrafficModel:
         ``np.add.reduceat`` load sums and the per-index ``bincount`` frozen
         folds each see exactly the operand groupings a standalone one-block
         solve would, no matter which blocks share the batch.  The fast
-        candidate scorer therefore provably selects the same move as the
-        per-move path (tests/test_batched_scorer.py).
+        candidate scorer therefore provably selects the same move as one
+        solve per candidate would (tests/test_batched_scorer.py).
 
         Counts ``len(blocks)`` evaluations.  ``capacities`` overrides the
         engine's per-link capacity vector for every block of this batch.
@@ -1305,10 +1305,6 @@ class CompiledTrafficModel:
         compiled = self.compile(bundles)
         return self.result_of(compiled, self.solve(compiled))
 
-    def evaluate_compiled(self, compiled: CompiledBundles) -> TrafficModelResult:
-        """Evaluate an already-compiled bundle list."""
-        return self.result_of(compiled, self.solve(compiled))
-
     def evaluate_patched(
         self,
         base_bundles: "CompiledBundles | Sequence[Bundle]",
@@ -1350,13 +1346,14 @@ def _adaptive_batch_size(num_links: int) -> int:
 class BatchedCandidateScorer:
     """Scores candidate patches of one compiled base through stacked solves.
 
-    The per-move scoring path compiles and solves one candidate at a time;
-    at scale the per-solve fixed costs dominate the optimizer.  This scorer
+    Solving one candidate at a time pays the per-solve fixed costs once per
+    candidate, and at scale those costs dominate the optimizer.  This scorer
     compiles each candidate patch (cheap — O(changed rows)) and solves whole
     batches through :meth:`CompiledTrafficModel.solve_batched`, whose
-    block-scoped arithmetic makes every score *bitwise* equal to the
-    per-move path — the optimizer selects the same move either way, which
-    tests/test_batched_scorer.py enforces move-for-move.
+    block-scoped arithmetic makes every score *bitwise* equal to a
+    one-candidate solve.  It is the optimizer's only scorer;
+    tests/test_batched_scorer.py keeps the one-solve-per-candidate loop as
+    the oracle every committed move is checked against.
 
     Candidates are patches of one shared base, so the scorer also solves the
     base once and warm-seeds every candidate block's initial crossing times

@@ -39,7 +39,7 @@ from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.result import BundleOutcome, TrafficModelResult
 
 if TYPE_CHECKING:
-    from repro.trafficmodel.compiled import CompiledTrafficModel
+    from repro.trafficmodel.compiled import CompiledModelCache, CompiledTrafficModel
 
 #: RTT floor, seconds.  Keeps growth rates finite on zero-delay test topologies.
 MIN_RTT_S = 1e-4
@@ -229,27 +229,21 @@ class TrafficModel:
         """Number of model evaluations performed (full or patched)."""
         return self.engine.evaluations
 
-    @evaluations.setter
-    def evaluations(self, value: int) -> None:
-        self.engine.evaluations = value
-
     def evaluate(self, bundles: Sequence[Bundle]) -> TrafficModelResult:
         """Run the progressive-filling model and return its result."""
         return self.engine.evaluate(bundles)
 
 
-class ReferenceTrafficModel(TrafficModel):
-    """A :class:`TrafficModel` that runs the unoptimized reference loop.
-
-    Used by the running-time benchmarks to measure the pre-compiled-engine
-    baseline, and by the equivalence suite as ground truth.  The evaluation
-    counter is shared with the (unused) compiled engine so the bookkeeping
-    stays identical.
-    """
-
-    def evaluate(self, bundles: Sequence[Bundle]) -> TrafficModelResult:
-        self.evaluations += 1
-        return reference_evaluate(self.network, bundles, self.config)
+def traffic_model_for(
+    network: Network,
+    config: Optional[TrafficModelConfig] = None,
+    cache: Optional["CompiledModelCache"] = None,
+) -> TrafficModel:
+    """A traffic model for *network*: wrapping *cache*'s warm engine when a
+    cache is given, built fresh otherwise."""
+    if cache is None:
+        return TrafficModel(network, config)
+    return TrafficModel.from_engine(cache.engine_for(network, config))
 
 
 def evaluate_bundles(

@@ -1,9 +1,10 @@
-"""Equivalence suite: BatchedCandidateScorer vs the per-move scoring path.
+"""Equivalence suite: BatchedCandidateScorer vs per-move scoring.
 
-The batched scorer only counts if it is *bitwise* interchangeable with the
-per-move ``compile_patched`` + ``solve`` + ``weighted_utility`` loop — the
-optimizer must select the identical move with the identical utility either
-way.  This suite locks that in three layers:
+The optimizer scores every candidate move through the batched scorer, which
+only counts if it is *bitwise* interchangeable with the per-move
+``compile_patched`` + ``solve`` + ``weighted_utility`` loop this suite keeps
+as its oracle — the optimizer must select the move the oracle selects.
+This suite locks that in three layers:
 
 1. ``solve`` vs ``solve_batched`` — rates and bottleneck attribution of a
    block solved alone equal those of the same block inside any batch,
@@ -11,22 +12,18 @@ way.  This suite locks that in three layers:
    times (the full-vs-delta solve agreement on the stacked tensor).
 2. Scores — ``BatchedCandidateScorer.score`` equals per-move scores exactly
    (drift 0, not within a tolerance) on HE-31, Abilene and tiered seeds.
-3. Moves — ``_best_move_incremental`` returns the identical chosen move and
-   utility with ``use_batched_scorer`` on and off, and whole optimizer runs
-   converge identically.
+3. Moves — every move ``perform_step`` commits is the first-best candidate
+   by per-move scores, and a step reports no progress exactly when no
+   candidate clears ``min_utility_improvement``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.core.config import FubarConfig
-from repro.core.optimizer import FubarOptimizer
 from repro.core.state import AllocationState, build_path_sets
-from repro.core.step import _candidate_moves
+from repro.core.step import _candidate_moves, perform_step
 from repro.experiments.scenarios import build_paper_scenario, build_sweep_scenario
 from repro.experiments.tiered import build_tiered_scenario
 from repro.paths.generator import PathGenerator
@@ -197,26 +194,49 @@ def test_adaptive_batch_size_bounds():
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_optimizer_selects_identical_moves(name):
-    """Full runs with the batched scorer on/off: same steps, same utility."""
+    """Every move ``perform_step`` commits is the first-best candidate by
+    per-move scores, and it reports no progress exactly when no candidate
+    beats the current utility by ``min_utility_improvement``."""
     scenario = scenario_by_name(name)
-    results = {}
-    for batched in (False, True):
-        config = replace(
-            scenario.fubar_config, max_steps=4, use_batched_scorer=batched
-        )
-        optimizer = FubarOptimizer(
-            scenario.network, scenario.traffic_matrix, config=config
-        )
-        results[batched] = optimizer.run()
-    assert results[True].network_utility == results[False].network_utility
-    assert results[True].num_steps == results[False].num_steps
-
-    def trace_of(result):
-        points = []
-        for point in result.trace:
-            as_dict = dict(point.as_dict())
-            as_dict.pop("wall_clock_s", None)  # timing may differ; moves not
-            points.append(as_dict)
-        return points
-
-    assert trace_of(results[True]) == trace_of(results[False])
+    network, config = scenario.network, scenario.fubar_config
+    weights = config.priority_weights
+    generator = PathGenerator(network)
+    model = TrafficModel(network)
+    engine = model.engine
+    state = AllocationState.initial(network, scenario.traffic_matrix, generator)
+    path_sets = build_path_sets(network, state)
+    result = model.evaluate(state.bundles())
+    steps = escalation = 0
+    while steps < 4 and result.has_congestion:
+        base = engine.compile(state.bundles())
+        rates = np.asarray([outcome.rate_bps for outcome in result.outcomes])
+        threshold = engine.weighted_utility(base, rates, weights)
+        threshold += config.min_utility_improvement
+        for link_id in result.congested_links_by_oversubscription():
+            moves = list(
+                _candidate_moves(
+                    link_id, state, path_sets, generator, config, result, escalation
+                )
+            )
+            deltas = [
+                state.move_delta(bundle.aggregate_key, bundle.path, to_path, flows)
+                for bundle, to_path, flows in moves
+            ]
+            scores = _per_move_scores(engine, base, deltas, weights)
+            step = perform_step(
+                link_id, state, path_sets, model, generator, config, result,
+                escalation, compiled_base=base,
+            )
+            assert step.progress == any(score > threshold for score in scores)
+            if step.progress:
+                bundle, to_path, flows = moves[scores.index(max(scores))]
+                assert step.moved_aggregate == bundle.aggregate_key
+                assert (step.from_path, step.to_path) == (bundle.path, to_path)
+                assert step.num_flows_moved == flows
+                state, result = step.state, step.result
+                steps, escalation = steps + 1, 0
+                break
+        else:
+            if escalation >= config.max_escalation_level:
+                break
+            escalation += 1

@@ -46,12 +46,12 @@ class TestScenarios:
 
         scenario = provisioned_scenario(
             seed=0,
-            fubar_config=FubarConfig(use_incremental_model=False),
+            fubar_config=FubarConfig(consider_existing_paths=False),
             max_wall_clock_s=1.0,
             **TINY,
         )
         assert scenario.fubar_config.max_wall_clock_s == 1.0
-        assert scenario.fubar_config.use_incremental_model is False
+        assert scenario.fubar_config.consider_existing_paths is False
 
     def test_provisioned_uses_100mbps_links(self):
         scenario = provisioned_scenario(seed=0, **TINY)

@@ -15,7 +15,8 @@ from repro.dynamics.loop import ControlLoopConfig, run_control_loop
 from repro.dynamics.processes import StaticProcess
 from repro.failures.degraded import DegradedNetwork
 from repro.failures.schedule import FailureSchedule
-from repro.paths.cache import PathSetCache, topology_signature
+from repro.paths.cache import PathSetCache, path_generator_for, topology_signature
+from repro.paths.policy import PathPolicy
 from repro.topology.builders import ring_topology, triangle_topology
 from repro.traffic.matrix import TrafficMatrix
 from repro.units import kbps, mbps, ms
@@ -132,6 +133,32 @@ class TestPathSetCache:
     def test_max_entries_validated(self):
         with pytest.raises(ValueError):
             PathSetCache(max_entries=0)
+
+
+class TestPathGeneratorFor:
+    def test_matching_policy_returns_the_cached_generator(self):
+        cache = PathSetCache()
+        network = make_triangle()
+        cached = cache.generator_for(network)
+        assert path_generator_for(network, cache=cache) is cached
+        assert path_generator_for(network, PathPolicy.unrestricted(), cache) is cached
+
+    def test_other_policy_gets_a_fresh_generator_carrying_it(self):
+        cache = PathSetCache()
+        network = make_triangle()
+        cached = cache.generator_for(network)
+        policy = PathPolicy.avoiding_links([("A", "B")])
+        generator = path_generator_for(network, policy, cache)
+        assert generator is not cached
+        assert generator.policy == policy
+        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
+
+    def test_no_cache_gets_a_fresh_generator(self):
+        network = make_triangle()
+        policy = PathPolicy.avoiding_nodes(["C"])
+        first = path_generator_for(network, policy)
+        assert first.policy == policy
+        assert path_generator_for(network, policy) is not first
 
 
 # ----------------------------------------------------- loop integration

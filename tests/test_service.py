@@ -7,6 +7,7 @@ import pytest
 
 from repro.exceptions import DynamicsError, ServiceError
 from repro.experiments.scenarios import build_sweep_scenario
+from repro.paths.policy import PathPolicy
 from repro.runner.worker import WorkerCaches
 from repro.service import (
     CarryOutcome,
@@ -27,6 +28,7 @@ from repro.service.bus import (
 )
 from repro.service.cli import main as service_main
 from repro.service.cli import parse_tenant_spec
+from repro.service.daemon import _build_core
 from repro.service.debounce import (
     REASON_BOOTSTRAP,
     REASON_CALM,
@@ -134,10 +136,37 @@ class TestControllerCore:
             path_cache=caches.path_cache,
             model_cache=caches.model_cache,
         )
-        # Same topology content -> both cores share one generator instance.
-        assert first._generator_for(scenario.network) is second._generator_for(
-            scenario.network
+        # Same topology content -> both cores share one generator and engine.
+        assert first._generator is second._generator
+        assert first._model.engine is second._model.engine
+
+    def test_shared_path_cache_respects_tenant_policy(self):
+        # The daemon always hands its cores shared caches built for the
+        # unrestricted policy; a tenant's own policy must still shape its
+        # paths, exactly as without caches.
+        scenario = build_sweep_scenario(
+            topology="hurricane-electric", num_pops=6, seed=1
         )
+        forbidden = ("SanJose", "LosAngeles")
+        config = TenantConfig(
+            name="policy",
+            network=scenario.network,
+            fubar_config=scenario.fubar_config,
+            policy=PathPolicy.avoiding_links([forbidden]),
+        )
+        plans = {}
+        for label, caches in (("shared", WorkerCaches()), ("uncached", None)):
+            core = _build_core(config, caches)
+            core.on_measurement(scenario.traffic_matrix)
+            plans[label] = core.reoptimize().plan
+        crossing = [
+            split
+            for route in plans["shared"].routing
+            for split in route.splits
+            if forbidden in zip(split.path, split.path[1:])
+        ]
+        assert crossing == []
+        assert plans["shared"].network_utility == plans["uncached"].network_utility
 
 
 # ----------------------------------------------------------------- debounce

@@ -24,7 +24,6 @@ from repro.topology.graph import Network
 from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.compiled import CompiledTrafficModel
 from repro.trafficmodel.waterfill import (
-    ReferenceTrafficModel,
     TrafficModel,
     TrafficModelConfig,
     reference_evaluate,
@@ -397,12 +396,6 @@ class TestEvaluationCounterRegression:
         model.evaluate([])
         result = FubarOptimizer(triangle, triangle_traffic, traffic_model=model).run()
         assert result.model_evaluations == model.evaluations - 2
-
-    def test_reference_model_counts_evaluations(self, triangle):
-        model = ReferenceTrafficModel(triangle)
-        model.evaluate([])
-        model.evaluate([])
-        assert model.evaluations == 2
 
 
 class TestNonSimplePathRegression:
