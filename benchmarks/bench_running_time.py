@@ -17,8 +17,11 @@ trajectory) to ``BENCH_running_time.json``:
 
 The headline number is a single-evaluation microbenchmark: the event-driven
 :func:`~repro.trafficmodel.waterfill.reference_evaluate` against one patched
-evaluation of the compiled engine (what scoring one candidate move costs),
-each timed best of 5.  The drift gate pins the compiled engine to
+evaluation of the compiled engine (what scoring one candidate move costs).
+The two arms are interleaved, one reference evaluation then a batch of ten
+patched ones per pair, and the record reports the median per-pair ratio, so
+host speed drifting during the run moves both arms of a pair together.  The
+drift gate pins the compiled engine to
 ``reference_evaluate`` twice: on the shortest-path allocation, and on the
 final plan of the optimizer run.  The pytest entry points run the same
 measurement at reduced scale, which is what the CI benchmark smoke job
@@ -34,7 +37,8 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from statistics import median
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from benchmarks.conftest import BENCH_SEED, print_header, run_once
 from repro.core.optimizer import FubarOptimizer
@@ -49,7 +53,7 @@ from repro.trafficmodel.waterfill import reference_evaluate
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_running_time.json"
 
 #: Schema version of BENCH_running_time.json.
-BENCH_SCHEMA = 2
+BENCH_SCHEMA = 3
 
 #: Relative tolerance for the single-evaluation drift gate: the compiled
 #: engine and the reference model evaluate the same allocation.
@@ -59,21 +63,24 @@ DRIFT_RTOL = 1e-6
 #: utility against ``reference_evaluate`` on the plan's own bundles.
 FINAL_DRIFT_RTOL = 1e-9
 
-#: Repetitions of each microbenchmark evaluation (the best one counts).
-MICROBENCH_REPEATS = 5
+#: Interleaved microbenchmark pairs (the median per-pair ratio counts).
+MICROBENCH_PAIRS = 15
+
+#: Patched evaluations timed together in each pair: one takes only a few
+#: milliseconds, too short to time alone against the reference's tens.
+PATCHED_BATCH = 10
 
 _T = TypeVar("_T")
 
 
-def _best_of(func: Callable[[], _T]) -> Tuple[float, _T]:
-    """Best wall clock (ms) of ``MICROBENCH_REPEATS`` calls of *func*, and its
-    result."""
-    best = float("inf")
-    for _ in range(MICROBENCH_REPEATS):
-        started = time.perf_counter()
-        value = func()
-        best = min(best, (time.perf_counter() - started) * 1e3)
-    return best, value
+def _timed_ms(func: Callable[[], _T], calls: int = 1) -> Tuple[float, _T]:
+    """Mean wall clock (ms) of *calls* back-to-back calls of *func*, and the
+    first call's result."""
+    started = time.perf_counter()
+    value = func()
+    for _ in range(calls - 1):
+        func()
+    return (time.perf_counter() - started) * 1e3 / calls, value
 
 
 def measure_incremental_speedup(
@@ -87,6 +94,7 @@ def measure_incremental_speedup(
     plan to the reference model, and times one evaluation of the
     shortest-path allocation three ways: by the reference model, by a full
     compiled evaluation, and as a one-bundle patch of the compiled base.
+    The reference and patched arms alternate pair by pair.
     """
     scenario = provisioned_scenario(seed=seed, **scenario_kwargs)
     network = scenario.network
@@ -98,12 +106,8 @@ def measure_incremental_speedup(
     evaluations = result.model_evaluations
 
     bundles = AllocationState.initial(network, scenario.traffic_matrix).bundles()
-    reference_eval_ms, reference_result = _best_of(
-        lambda: reference_evaluate(network, bundles)
-    )
     engine = CompiledTrafficModel(network)
     engine.evaluate(bundles)  # warm the row cache
-    compiled_eval_ms, compiled_result = _best_of(lambda: engine.evaluate(bundles))
     compiled_base = engine.compile(bundles)
     sample = bundles[0]
     patch = {
@@ -116,7 +120,19 @@ def measure_incremental_speedup(
         patched = engine.compile_patched(compiled_base, patch)
         return engine.weighted_utility(patched, engine.solve(patched).rates)
 
-    patched_eval_ms, _ = _best_of(patched_evaluation)
+    reference_ms: List[float] = []
+    patched_ms: List[float] = []
+    full_ms: List[float] = []
+    for _ in range(MICROBENCH_PAIRS):
+        one_reference, reference_result = _timed_ms(
+            lambda: reference_evaluate(network, bundles)
+        )
+        one_patched, _ = _timed_ms(patched_evaluation, PATCHED_BATCH)
+        reference_ms.append(one_reference)
+        patched_ms.append(one_patched)
+    for _ in range(MICROBENCH_PAIRS):
+        one_full, compiled_result = _timed_ms(lambda: engine.evaluate(bundles))
+        full_ms.append(one_full)
 
     return {
         "schema": BENCH_SCHEMA,
@@ -139,12 +155,13 @@ def measure_incremental_speedup(
             "trajectory": [point.as_dict() for point in result.trace],
         },
         "microbench": {
-            "repeats": MICROBENCH_REPEATS,
-            "reference_eval_ms": reference_eval_ms,
-            "compiled_full_eval_ms": compiled_eval_ms,
-            "compiled_patched_eval_ms": patched_eval_ms,
-            "full_vs_incremental_speedup": (
-                reference_eval_ms / patched_eval_ms if patched_eval_ms > 0 else None
+            "pairs": MICROBENCH_PAIRS,
+            "patched_batch": PATCHED_BATCH,
+            "reference_eval_ms": median(reference_ms),
+            "compiled_full_eval_ms": median(full_ms),
+            "compiled_patched_eval_ms": median(patched_ms),
+            "full_vs_incremental_speedup": median(
+                ref / patched for ref, patched in zip(reference_ms, patched_ms)
             ),
         },
         "drift": {
@@ -192,11 +209,12 @@ def _print_speedup(record: Dict) -> None:
     )
     micro = record["microbench"]
     print(
-        f"\nmicrobench (best of {micro['repeats']}): "
+        f"\nmicrobench (medians of {micro['pairs']} interleaved pairs): "
         f"reference {micro['reference_eval_ms']:.2f} ms, "
         f"compiled full {micro['compiled_full_eval_ms']:.2f} ms, "
         f"compiled patched {micro['compiled_patched_eval_ms']:.2f} ms "
-        f"({micro['full_vs_incremental_speedup']:.1f}x full-vs-incremental)"
+        f"({micro['full_vs_incremental_speedup']:.1f}x full-vs-incremental, "
+        "median per-pair ratio)"
     )
 
 

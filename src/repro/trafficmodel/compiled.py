@@ -13,8 +13,7 @@ bundle.  This module removes both costs:
   path) row cache, so the graph walks (link indices, RTT, path delay, the
   delay component of the utility function) happen once per distinct path and
   are reused across every subsequent evaluation;
-* :meth:`CompiledTrafficModel.compile_patched` /
-  :meth:`CompiledTrafficModel.evaluate_patched` derive the arrays of a
+* :meth:`CompiledTrafficModel.compile_patched` derives the arrays of a
   *candidate* bundle list from an already-compiled base by patching only the
   rows a move changes (reduce/remove the from-path bundle, grow/append the
   to-path bundle) instead of rebuilding all of them;
@@ -67,6 +66,13 @@ from repro.trafficmodel.waterfill import (
     TrafficModelConfig,
 )
 from repro.utility.aggregation import PriorityWeights
+
+#: Relative margin of the solver's bounded saturation sweep: each link's
+#: load bound starts from its total growth inflated by it and is compared
+#: with the threshold deflated by it.  It dwarfs the rounding of the bound's
+#: operands (a few ulps per crossing bundle), so a link whose bound stays
+#: below the deflated threshold cannot pass the exact load check.
+_SWEEP_MARGIN = 1e-9
 
 #: A patch maps (aggregate key, path) to the replacement bundle for that row,
 #: or None to drop the row.  Pairs absent from the base are appended.
@@ -591,6 +597,13 @@ class CompiledTrafficModel:
                     comp_ids = base.comp_ids.copy()
                 comp_ids[column] = component_id
 
+        # Flat-link edits are keyed by base column, so collect them before
+        # removals shift the columns of the list copies.
+        edits: Dict[int, Optional[np.ndarray]] = {column: None for column in removed}
+        for column, _ in changed:
+            if rows_list[column] is not base.rows[column]:
+                edits[column] = rows_list[column].link_indices
+
         if not removed and not additions:
             patched = CompiledBundles(
                 bundles=tuple(bundles_list),
@@ -612,11 +625,6 @@ class CompiledTrafficModel:
                 delay_factors=delay_factors,
                 num_links=base.num_links,
             )
-            edits: Dict[int, Optional[np.ndarray]] = {
-                column: rows_list[column].link_indices
-                for column, _ in changed
-                if rows_list[column] is not base.rows[column]
-            }
             patched._flat_links, patched._link_counts = _spliced_flat_links(
                 base, edits, ()
             )
@@ -662,11 +670,12 @@ class CompiledTrafficModel:
         if isinstance(agg_class_ids, list):
             agg_class_ids = np.asarray(agg_class_ids, dtype=np.intp)
 
-        kept_bundles = [b for b, k in zip(bundles_list, keep) if k]
-        kept_rows = [r for r, k in zip(rows_list, keep) if k]
+        for column in sorted(removed, reverse=True):
+            del bundles_list[column]
+            del rows_list[column]
         patched = CompiledBundles(
-            bundles=tuple(kept_bundles) + tuple(additions),
-            rows=tuple(kept_rows) + tuple(added_rows),
+            bundles=tuple(bundles_list) + tuple(additions),
+            rows=tuple(rows_list) + tuple(added_rows),
             demands=np.concatenate(
                 [demands[keep], [b.num_flows * r.per_flow_demand_bps for b, r in zip(additions, added_rows)]]
             ),
@@ -693,10 +702,6 @@ class CompiledTrafficModel:
             ),
             num_links=base.num_links,
         )
-        edits: Dict[int, Optional[np.ndarray]] = {column: None for column in removed}
-        for column, _ in changed:
-            if rows_list[column] is not base.rows[column]:
-                edits[column] = rows_list[column].link_indices
         patched._flat_links, patched._link_counts = _spliced_flat_links(
             base, edits, added_rows
         )
@@ -757,6 +762,18 @@ class CompiledTrafficModel:
         solve would, no matter which blocks share the batch.  The fast
         candidate scorer therefore provably selects the same move as one
         solve per candidate would (tests/test_batched_scorer.py).
+
+        The slack-band sweep sums a link's load exactly only where the sum
+        can decide something.  A frozen bundle contributes at most its
+        committed rate and a growing one at most ``growth * tau*``, so
+        ``fixed + growing * tau*`` bounds each link's load at its block's
+        event instant from above.  A link whose bound stays below
+        ``threshold * (1 - 1e-9)`` cannot pass the load check: the margin
+        exceeds the bound's rounding by orders of magnitude.  Nor is a link
+        summed that already saturates by its crossing time this round.
+        Skipping these sums changes no saturation decision, and every kept
+        sum is the same reduction over the same contiguous entries as a
+        sweep over every link would compute.
 
         Counts ``len(blocks)`` evaluations.  ``capacities`` overrides the
         engine's per-link capacity vector for every block of this batch.
@@ -911,9 +928,21 @@ class CompiledTrafficModel:
         csr_offsets = np.zeros(total_links + 1, dtype=np.intp)
         np.cumsum(np.bincount(csr_links, minlength=total_links), out=csr_offsets[1:])
         csr_counts = np.diff(csr_offsets)
-        nonempty_links = np.nonzero(csr_counts > 0)[0]
         # Each entry's block, via its bundle (cheaper than dividing links).
         csr_blocks = block_of_bundle[csr_positions]
+        #: Summed growth of the still-growing bundles on each link, kept by
+        #: subtracting each bundle as it freezes, so ``fixed + growing * tau``
+        #: bounds a link's load at instant ``tau`` from above.  The
+        #: subtractions round relative to the link's initial total growth,
+        #: which is why that total starts inflated by the sweep margin.
+        growing = np.bincount(csr_links, weights=csr_values, minlength=total_links)
+        growing *= 1.0 + _SWEEP_MARGIN
+        #: Load bound a link must reach to have its exact load summed; +inf
+        #: for links no bundle crosses (saturating one changes no rate) and
+        #: for links as they saturate.
+        sweep_floor = np.where(
+            csr_counts > 0, threshold * (1.0 - _SWEEP_MARGIN), np.inf
+        )
 
         def recompute_tau(links: np.ndarray) -> None:
             """Earliest capacity-crossing time of each link in *links* under
@@ -1039,7 +1068,9 @@ class CompiledTrafficModel:
         tau_matrix = tau.reshape(num_blocks, num_links)
         dirty_matrix = dirty.reshape(num_blocks, num_links)
         saturated_matrix = saturated.reshape(num_blocks, num_links)
-        threshold_matrix = threshold.reshape(num_blocks, num_links)
+        fixed_matrix = fixed.reshape(num_blocks, num_links)
+        growing_matrix = growing.reshape(num_blocks, num_links)
+        sweep_floor_matrix = sweep_floor.reshape(num_blocks, num_links)
         active_counts = block_sizes.copy()
 
         # Lockstep event loop: each round commits the next saturation event
@@ -1095,34 +1126,47 @@ class CompiledTrafficModel:
             # "never" (growth rates are positive, so no 0 * inf NaNs).
             tau_star_blocks = np.where(process, cand_tau, -np.inf)
 
-            # Saturation sweep: the load of every link at its block's event
-            # instant, mirroring the reference model's per-event slack-band
-            # check.  np.add.reduceat reduces each link's CSR segment from
-            # its own contiguous entries alone, so the per-link sums are
-            # bitwise the sums a standalone solve computes (locked in by the
-            # batched-vs-single equivalence suite).
-            load_now = np.zeros(total_links, dtype=float)
-            if csr_values.size:
-                contrib = csr_values * np.minimum(
-                    stop_sorted[csr_positions], tau_star_blocks[csr_blocks]
-                )
-                load_now[nonempty_links] = np.add.reduceat(
-                    contrib, csr_offsets[nonempty_links]
-                )
-            load_matrix = load_now.reshape(num_blocks, num_links)
-
             newly_matrix = (
                 process[:, None]
                 & ~saturated_matrix
-                & (
-                    (tau_matrix <= tau_star_blocks[:, None])
-                    | (load_matrix >= threshold_matrix)
-                )
+                & (tau_matrix <= tau_star_blocks[:, None])
             )
+            newly_flags = newly_matrix.ravel()
+            # Saturation sweep: links within the slack band of their
+            # threshold at their block's event instant saturate too,
+            # mirroring the reference model's per-event check.  Only links
+            # whose upper bound ``fixed + growing * tau*`` reaches the
+            # threshold (less the sweep margin), and that do not saturate by
+            # crossing time already, have their load summed; any other
+            # link's true load is below its threshold, so it would not
+            # saturate either way.  np.add.reduceat reduces each summed
+            # link's CSR segment from its own contiguous entries alone, so
+            # the sums are bitwise those of a standalone solve (locked in by
+            # the batched-vs-single equivalence suite).  ``newly_flags`` is a
+            # flat view, so marking a link there marks it in newly_matrix.
+            reach = fixed_matrix + growing_matrix * np.where(
+                process, cand_tau, 0.0
+            )[:, None]
+            sweep = np.nonzero(
+                (
+                    process[:, None] & ~newly_matrix & (reach >= sweep_floor_matrix)
+                ).ravel()
+            )[0]
+            if sweep.size:
+                sweep_counts = csr_counts[sweep]
+                src = _gather_slices(csr_offsets[sweep], sweep_counts)
+                contrib = csr_values[src] * np.minimum(
+                    stop_sorted[csr_positions[src]], tau_star_blocks[csr_blocks[src]]
+                )
+                sweep_starts = np.zeros(sweep.shape[0], dtype=np.intp)
+                np.cumsum(sweep_counts[:-1], out=sweep_starts[1:])
+                load = np.add.reduceat(contrib, sweep_starts)
+                newly_flags[sweep[load >= threshold[sweep]]] = True
             if not newly_matrix.any(axis=1)[process].all():
                 raise TrafficModelError("traffic model made no progress")
             saturated_matrix |= newly_matrix
             tau_matrix[newly_matrix] = np.inf
+            sweep_floor_matrix[newly_matrix] = np.inf
 
             # Bundles that met their demand at or before their block's
             # saturation instant (with the model's relative slack) freeze
@@ -1140,7 +1184,6 @@ class CompiledTrafficModel:
             # truncated, attributing the first saturated link on their path.
             # Unlike satisfied freezes, truncation changes the load curves of
             # every other link those bundles cross, so those links go dirty.
-            newly_flags = newly_matrix.ravel()
             newly_links = np.nonzero(newly_flags)[0]
             crossing_pos = np.zeros(total_bundles, dtype=bool)
             if newly_links.size:
@@ -1194,6 +1237,11 @@ class CompiledTrafficModel:
                 fixed += np.bincount(
                     f_links,
                     weights=np.repeat(rates[frozen_idx], f_counts),
+                    minlength=total_links,
+                )
+                growing -= np.bincount(
+                    f_links,
+                    weights=np.repeat(growth[frozen_idx], f_counts),
                     minlength=total_links,
                 )
                 active_counts -= np.bincount(
@@ -1304,22 +1352,6 @@ class CompiledTrafficModel:
         """Full evaluation: compile (through the row cache), solve, assemble."""
         compiled = self.compile(bundles)
         return self.result_of(compiled, self.solve(compiled))
-
-    def evaluate_patched(
-        self,
-        base_bundles: "CompiledBundles | Sequence[Bundle]",
-        replacements: BundlePatch,
-    ) -> TrafficModelResult:
-        """Delta evaluation: patch only the changed rows of *base_bundles*.
-
-        *base_bundles* may be a :class:`CompiledBundles` (the fast path the
-        optimizer uses — compile once per step, patch once per candidate) or
-        a plain bundle sequence, which is compiled first.
-        """
-        if not isinstance(base_bundles, CompiledBundles):
-            base_bundles = self.compile(base_bundles)
-        patched = self.compile_patched(base_bundles, replacements)
-        return self.result_of(patched, self.solve(patched))
 
 
 #: Maximum candidates per stacked solve.  Bounds the O(batch x links) argmin

@@ -76,6 +76,7 @@ class TrafficModelResult:
         self._capacities = np.asarray(network.capacities(), dtype=float)
         self._congested: Optional[Tuple[LinkId, ...]] = None
         self._by_aggregate: Optional[Dict[AggregateKey, List[BundleOutcome]]] = None
+        self._aggregate_utilities: Optional[Tuple[AggregateUtility, ...]] = None
 
     # ------------------------------------------------------------- congestion
 
@@ -165,7 +166,17 @@ class TrafficModelResult:
         A bundle's utility is the utility of one of its flows: the bandwidth
         component evaluated at the per-flow rate times the delay component
         evaluated at the bundle's path delay.
+
+        The roll-up runs once per result (outcomes and network never change
+        after construction) and is shared by :meth:`network_utility`,
+        :meth:`class_utility` and :meth:`per_class_utilities`; each call
+        returns a fresh list, so callers may mutate it.
         """
+        if self._aggregate_utilities is None:
+            self._aggregate_utilities = tuple(self._roll_up())
+        return list(self._aggregate_utilities)
+
+    def _roll_up(self) -> List[AggregateUtility]:
         utilities: List[AggregateUtility] = []
         for key, outcomes in self.outcomes_by_aggregate().items():
             aggregate = outcomes[0].bundle.aggregate

@@ -6,9 +6,10 @@ The contract under test (ISSUE 2):
   reference implementation on rates (to floating-point accumulation noise),
   and *exactly* on the semantic fields: satisfied flags, bottleneck links,
   congested links.
-* The delta path (``evaluate_patched``) agrees **bit for bit** with a full
-  evaluation of the identically-ordered patched bundle list — rates,
-  satisfied flags, bottlenecks, link loads and link demands.
+* The delta path (``compile_patched`` + ``solve`` + ``result_of``, the path
+  the candidate scorer runs) agrees **bit for bit** with a full evaluation
+  of the identically-ordered patched bundle list — rates, satisfied flags,
+  bottlenecks, link loads, link demands and aggregate utilities.
 * ``TrafficModel.evaluate`` (the thin wrapper the rest of the code base
   uses) produces results identical to the engine it delegates to.
 
@@ -150,6 +151,13 @@ def assert_results_identical(expected, actual):
         assert right.bottleneck_link == left.bottleneck_link
     assert np.array_equal(actual.link_loads_bps, expected.link_loads_bps)
     assert np.array_equal(actual.link_demands_bps, expected.link_demands_bps)
+    assert actual.aggregate_utilities() == expected.aggregate_utilities()
+
+
+def patched_result(engine, compiled, patch):
+    """Patch *compiled*, solve it and assemble the result."""
+    patched = engine.compile_patched(compiled, patch)
+    return engine.result_of(patched, engine.solve(patched))
 
 
 def random_patch(rng, bundles):
@@ -222,6 +230,45 @@ class TestReferenceEquivalence:
         assert_results_close(reference, result)
         assert result.outcomes[0].satisfied
 
+    @pytest.mark.parametrize("extra_bps", [0.0, 5e-4, 5e-7, 2.0])
+    def test_slack_band_saturation_matches_reference(self, extra_bps):
+        """A link within the slack band of its capacity when another link
+        saturates counts as saturated in the same event (and bottlenecks the
+        bundle first on its path); one just beyond the band does not."""
+        network = Network(name="slack-band")
+        for name in ("A", "B", "C"):
+            network.add_node(name)
+        network.add_link("A", "B", capacity_bps=mbps(1) + extra_bps, delay_s=ms(5))
+        network.add_link("B", "C", capacity_bps=mbps(1), delay_s=ms(5))
+        aggregate = make_aggregate("A", "C", num_flows=40, demand_bps=kbps(100))
+        bundles = [Bundle(aggregate=aggregate, path=("A", "B", "C"), num_flows=40)]
+        reference = reference_evaluate(network, bundles)
+        engine = CompiledTrafficModel(network)
+        compiled = engine.compile(bundles)
+        results = [engine.result_of(compiled, engine.solve(compiled))] + [
+            engine.result_of(compiled, solution)
+            for solution in engine.solve_batched([compiled, compiled])
+        ]
+        expected_bottleneck = [o.bottleneck_link for o in reference.outcomes]
+        for result in results:
+            assert [o.bottleneck_link for o in result.outcomes] == expected_bottleneck
+            assert result.congested_links == reference.congested_links
+
+    def test_uncrossed_link_below_absolute_slack(self):
+        """A link no bundle crosses, with capacity below the model's absolute
+        slack (its threshold is negative), must not break the solver's
+        saturation sweep."""
+        network = Network(name="tiny-capacity")
+        for name in ("A", "B", "C", "D"):
+            network.add_node(name)
+        network.add_link("A", "B", capacity_bps=mbps(1), delay_s=ms(5))
+        network.add_link("B", "C", capacity_bps=mbps(1), delay_s=ms(5))
+        network.add_link("C", "D", capacity_bps=5e-7, delay_s=ms(5))
+        aggregate = make_aggregate("A", "C", num_flows=40, demand_bps=kbps(100))
+        bundles = [Bundle(aggregate=aggregate, path=("A", "B", "C"), num_flows=40)]
+        reference = reference_evaluate(network, bundles)
+        assert_results_close(reference, CompiledTrafficModel(network).evaluate(bundles))
+
     def test_empty_bundle_list(self):
         network, _ = random_scenario(1)
         result = CompiledTrafficModel(network).evaluate([])
@@ -240,19 +287,33 @@ class TestDeltaEquivalence:
         engine = CompiledTrafficModel(network)
         compiled = engine.compile(bundles)
         patch = random_patch(rng, bundles)
-        patched_result = engine.evaluate_patched(compiled, patch)
+        patched = patched_result(engine, compiled, patch)
         # Full rebuild of the identically-ordered patched bundle list.
-        patched_bundles = [outcome.bundle for outcome in patched_result.outcomes]
-        full_result = engine.evaluate(patched_bundles)
-        assert_results_identical(full_result, patched_result)
+        full = engine.evaluate([outcome.bundle for outcome in patched.outcomes])
+        assert_results_identical(full, patched)
 
-    def test_patched_accepts_plain_bundle_sequence(self):
-        network, bundles = random_scenario(3)
+    def test_patch_removes_several_rows(self):
+        """Removed columns are dropped from the base by position; removing
+        several at once, with a change and an addition, must keep the
+        surviving rows in base order."""
+        network, bundles = random_scenario(12)
         engine = CompiledTrafficModel(network)
-        patch = random_patch(np.random.default_rng(7), bundles)
-        from_compiled = engine.evaluate_patched(engine.compile(bundles), patch)
-        from_list = engine.evaluate_patched(bundles, patch)
-        assert_results_identical(from_compiled, from_list)
+        compiled = engine.compile(bundles)
+        patch = {(b.aggregate_key, b.path): None for b in bundles[::2]}
+        kept = bundles[1]
+        patch[(kept.aggregate_key, kept.path)] = kept.with_num_flows(1)
+        extra = Bundle(
+            aggregate=make_aggregate(
+                kept.path[0], kept.path[-1], num_flows=3, traffic_class="extra"
+            ),
+            path=kept.path,
+            num_flows=3,
+        )
+        patch[(extra.aggregate_key, extra.path)] = extra
+        patched = patched_result(engine, compiled, patch)
+        expected_bundles = [kept.with_num_flows(1)] + bundles[3::2] + [extra]
+        assert [o.bundle for o in patched.outcomes] == expected_bundles
+        assert_results_identical(engine.evaluate(expected_bundles), patched)
 
     def test_patch_add_new_aggregate(self):
         network, bundles = random_scenario(4)
@@ -266,8 +327,8 @@ class TestDeltaEquivalence:
             path=bundles[0].path,
             num_flows=5,
         )
-        patched = engine.evaluate_patched(
-            compiled, {(extra.aggregate_key, extra.path): extra}
+        patched = patched_result(
+            engine, compiled, {(extra.aggregate_key, extra.path): extra}
         )
         full = engine.evaluate([outcome.bundle for outcome in patched.outcomes])
         assert_results_identical(full, patched)
@@ -306,7 +367,7 @@ class TestDeltaEquivalence:
         compiled = engine.compile(bundles)
         missing_key = (("nope", "nah", "bulk"), ("nope", "nah"))
         with pytest.raises(TrafficModelError):
-            engine.evaluate_patched(compiled, {missing_key: None})
+            engine.compile_patched(compiled, {missing_key: None})
 
     def test_wrapper_matches_engine(self):
         network, bundles = random_scenario(6)
