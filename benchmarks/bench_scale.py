@@ -11,8 +11,9 @@ increasing size:
   candidate (the oracle ``tests/test_batched_scorer.py`` checks the
   optimizer's moves against), and
 * **batched** — one :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer`
-  scoring the same candidates through stacked ``solve_batched`` calls, as
-  the optimizer does.
+  scoring the same candidates, as the optimizer does: chunks of candidates
+  solved in lockstep in the base's index space, with no per-candidate
+  compile, sort or CSR build.
 
 The two paths are *bitwise* equivalent (see
 ``tests/test_batched_scorer.py``), so the benchmark hard-fails on any score

@@ -1097,12 +1097,15 @@ class _FunctionSummarizer:
         # Mutating method calls on module-level containers (MP101).  Checked
         # against the receiver *as written* — the type-inferred rewrite in
         # ``site.target`` must not turn a local instance's mutation into a
-        # write of the module-level class name.
+        # write of the module-level class name.  A receiver that is exactly
+        # a plain-``import`` module alias (``np.insert(...)``,
+        # ``np.append(...)``) calls a module function; a container reached
+        # through a module (``mod.CONTAINER.append``) still counts.
         if isinstance(node.func, ast.Attribute) and node.func.attr in (
             _MUTATING_TERMINALS
         ):
             written = _dotted_path(node.func.value)
-            if written is not None:
+            if written is not None and written not in self._imports.module_aliases:
                 head = written.split(".", 1)[0]
                 # Imported names count: mutating a container imported from
                 # another module is still a module-level write.

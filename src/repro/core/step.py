@@ -162,10 +162,11 @@ def _best_move(
     """The first candidate move with the best score, or None if none improves.
 
     The base bundle list is compiled once; every candidate becomes a
-    ``move_delta`` patch of the one or two bundles it changes, and one
+    ``move_delta`` patch of the two bundles it changes, and one
     :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer` scores them
-    all through stacked solves — no result objects, no graph walks.  A move
-    must beat the current utility by ``config.min_utility_improvement``.
+    all in the base's index space — no per-candidate compile, no result
+    objects, no graph walks.  A move must beat the current utility by
+    ``config.min_utility_improvement``.
     """
     engine = model.engine
     weights = config.priority_weights

@@ -25,17 +25,21 @@ bundle.  This module removes both costs:
   per bundle (hundreds);
 * :meth:`CompiledTrafficModel.solve_batched` stacks many independent compiled
   bundle lists into one block-diagonal system (block *k* owns stacked links
-  ``k*L .. (k+1)*L-1``) and runs the waterfall over all of them in one pass —
-  the per-solve fixed costs (CSR build, sorting, array setup) are paid once
-  per batch instead of once per candidate.  ``solve`` is the one-block case
-  of the same code path, so a batched solve is *bitwise* identical to solving
-  each block alone; :class:`BatchedCandidateScorer` builds on this to score
-  every candidate move of an optimization step in a handful of stacked
-  solves;
+  ``k*L .. (k+1)*L-1``) and runs the waterfall over all of them in lockstep
+  rounds.  Each block is read through its *solver layout* — its stable
+  satisfy-time order, link CSR and per-link growth sums, built once per
+  compiled list.  ``solve`` is the one-block case of the same code path, so
+  a batched solve is *bitwise* identical to solving each block alone;
+* :class:`BatchedCandidateScorer` scores every candidate move of an
+  optimization step in the *base's* index space: a move differs from the
+  step's compiled base in two rows, so a candidate block reuses the base
+  layout's order and link segments and rebuilds only the segments the two
+  rows cross — no per-candidate compile, sort or CSR build — before one
+  shared event loop solves the chunk and one roll-up scores it;
 * :meth:`CompiledTrafficModel.weighted_utility` scores a solution without
   constructing any result objects, vectorizing the flow-weighted utility
   roll-up over cached per-path delay factors and grouped bandwidth
-  components.
+  components (the scorer runs the same roll-up over a whole chunk).
 
 The engine is semantically equivalent to ``reference_evaluate`` (same event
 ordering rules, same satisfaction/saturation tolerances); the equivalence is
@@ -46,11 +50,11 @@ identically-ordered bundle lists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # SciPy's C counting sort builds the stacked CSR ~3x faster than argsort.
+try:  # SciPy's C counting sort builds a layout's CSR ~3x faster than argsort.
     from scipy import sparse as _sparse
 except ImportError:  # pragma: no cover - scipy ships with the baselines
     _sparse = None
@@ -151,6 +155,7 @@ class CompiledBundles:
         "_agg_flows",
         "_flat_links",
         "_link_counts",
+        "_layout",
     )
 
     def __init__(
@@ -190,6 +195,7 @@ class CompiledBundles:
         self._agg_flows: Optional[np.ndarray] = None
         self._flat_links: Optional[np.ndarray] = None
         self._link_counts: Optional[np.ndarray] = None
+        self._layout: Optional[_SolverLayout] = None
 
     def __len__(self) -> int:
         return len(self.bundles)
@@ -247,6 +253,13 @@ class CompiledBundles:
                 self._link_counts = np.zeros(0, dtype=np.intp)
         return self._flat_links, self._link_counts
 
+    @property
+    def layout(self) -> "_SolverLayout":
+        """The solver's view of this bundle list, built on first solve."""
+        if self._layout is None:
+            self._layout = _SolverLayout(self)
+        return self._layout
+
 
 def _spliced_flat_links(
     base: CompiledBundles,
@@ -303,10 +316,9 @@ def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if starts.shape[0] == 1:
         first = int(starts[0])
         return np.arange(first, first + total, dtype=np.intp)
-    offsets = np.zeros(counts.shape[0] + 1, dtype=np.intp)
-    np.cumsum(counts, out=offsets[1:])
-    intra = np.arange(total, dtype=np.intp) - np.repeat(offsets[:-1], counts)
-    return np.repeat(starts, counts) + intra
+    offsets = np.zeros(counts.shape[0], dtype=np.intp)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.intp)
 
 
 def _csr_entry_order(
@@ -427,6 +439,645 @@ def _segment_prefix_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
             values, counts, offsets, segments, int(counts[segments].max()), out
         )
     return out
+
+
+class _SolverLayout:
+    """A compiled bundle list in the solver's index space, built once.
+
+    Rank slot *p* holds the bundle with the *p*-th smallest satisfy time
+    (demand over growth; the sort is stable, so ties keep column order).
+    The link CSR lists, per link, the slots of the bundles crossing it in
+    rank order next to their growth rates, and ``link_growth`` holds each
+    link's in-order sum of those rates.  Nothing here depends on link
+    capacities, so one layout serves every solve of its bundle list — and,
+    through :class:`BatchedCandidateScorer`, every candidate patch of it.
+    """
+
+    __slots__ = (
+        "order",
+        "inverse",
+        "satisfy",
+        "growth",
+        "demands",
+        "csr_offsets",
+        "csr_counts",
+        "csr_slots",
+        "csr_values",
+        "link_growth",
+        "row_start",
+        "row_count",
+        "row_links",
+        "_rank_keys",
+    )
+
+    def __init__(self, compiled: CompiledBundles) -> None:
+        num_bundles = len(compiled)
+        num_links = compiled.num_links
+        satisfy_at = compiled.demands / compiled.growth
+        order = np.argsort(satisfy_at, kind="stable")  # slot -> column
+        inverse = np.empty(num_bundles, dtype=np.intp)  # column -> slot
+        inverse[order] = np.arange(num_bundles, dtype=np.intp)
+        flat, counts = compiled.flat_links
+        row_offsets = np.zeros(num_bundles + 1, dtype=np.intp)
+        np.cumsum(counts, out=row_offsets[1:])
+
+        # Entries ordered link-major / slot-minor, the layout np.nonzero
+        # over a dense incidence matrix would produce, built from the
+        # per-bundle link lists in O(nnz).  (Paths are simple — Bundle
+        # enforces it — so no (link, slot) pair repeats.)
+        if flat.size:
+            entry_slots = np.repeat(inverse, counts)
+            entry_order = _csr_entry_order(flat, entry_slots, num_links, num_bundles)
+            csr_links = flat[entry_order]
+            self.csr_slots = entry_slots[entry_order]
+            self.csr_values = np.repeat(compiled.growth, counts)[entry_order]
+        else:
+            csr_links = np.zeros(0, dtype=np.intp)
+            self.csr_slots = np.zeros(0, dtype=np.intp)
+            self.csr_values = np.zeros(0, dtype=float)
+        self.csr_counts = np.bincount(csr_links, minlength=num_links)
+        self.csr_offsets = np.zeros(num_links + 1, dtype=np.intp)
+        np.cumsum(self.csr_counts, out=self.csr_offsets[1:])
+        self.link_growth = np.bincount(
+            csr_links, weights=self.csr_values, minlength=num_links
+        )
+        self.order = order
+        self.inverse = inverse
+        self.satisfy = satisfy_at[order]
+        self.growth = compiled.growth[order]
+        self.demands = compiled.demands[order]
+        self.row_start = row_offsets[:-1][order]
+        self.row_count = counts[order]
+        self.row_links = flat
+        self._rank_keys: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.order.shape[0]
+
+    def rank_of(self, satisfy: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        """Slot before which rows with these (satisfy time, column) keys rank.
+
+        A row ranks after every slot whose satisfy time is smaller, and
+        after the tied slots of lower column — the stable sort's order.
+        ``rank_keys`` makes that one ``searchsorted``: within a tie group
+        (the slots sharing one satisfy time, starting at slot *g*) slot *p*
+        keys as ``g * (n + 1) + column``, strictly increasing in *p*.
+        """
+        num_bundles = len(self)
+        if self._rank_keys is None:
+            group = np.searchsorted(self.satisfy, self.satisfy, side="left")
+            self._rank_keys = group * (num_bundles + 1) + self.order
+        first = np.searchsorted(self.satisfy, satisfy, side="left")
+        tied = np.zeros(first.shape[0], dtype=bool)
+        inside = first < num_bundles
+        tied[inside] = self.satisfy[first[inside]] == satisfy[inside]
+        query = first * (num_bundles + 1) + np.where(tied, columns, 0)
+        return np.searchsorted(self._rank_keys, query, side="left")
+
+
+class _Waterfall:
+    """One stacked waterfall system: the lockstep event loop and its kernel.
+
+    Block *k* owns the stacked links ``k*L .. (k+1)*L-1`` and the slots
+    from ``slot_base[k]`` on; a slot is one bundle in its block's rank
+    order, with its satisfy time, growth, demand and link list in
+    slot-indexed arrays.  A stacked link reads its crossing bundles as a
+    *segment*: ``seg_count`` entries of an entry pool from ``seg_start``
+    on, each holding a block-local slot and that bundle's growth rate, in
+    rank order.  Blocks that share a layout point their segments into the
+    same pool entries, so a block that differs from a shared base in a few
+    rows only needs its own entries for the segments those rows cross.
+
+    ``fold_key`` places the slots that sit outside their block's rank
+    order (the rows :class:`BatchedCandidateScorer` inserts after a base's
+    slots): twice the slot each ranks right before, plus its order among
+    its block's inserted slots (which breaks a shared anchor); -1 for a
+    slot in rank order.  The frozen-load fold merges them in there.
+
+    Every floating-point reduction is *exactly segment-local* or runs in
+    rank order per block: the per-segment prefix sums of the crossing-time
+    kernel (:func:`_segment_prefix_sums`), the per-link ``np.add.reduceat``
+    load sums and the per-link ``bincount`` frozen folds each see exactly
+    the operands, in the order, a standalone one-block solve of the same
+    bundle list would — no matter which blocks share the system.
+    """
+
+    __slots__ = (
+        "num_blocks",
+        "num_links",
+        "capacities",
+        "slot_counts",
+        "slot_block",
+        "link_slot_base",
+        "satisfy",
+        "growth",
+        "demand",
+        "active",
+        "row_start",
+        "row_count",
+        "row_links",
+        "seg_start",
+        "seg_count",
+        "pool_slots",
+        "pool_values",
+        "link_growth",
+        "fold_key",
+        "tau",
+        "fixed",
+        "now",
+    )
+
+    def __init__(
+        self,
+        capacities: np.ndarray,
+        slot_base: np.ndarray,
+        satisfy: np.ndarray,
+        growth: np.ndarray,
+        demand: np.ndarray,
+        active: np.ndarray,
+        rows: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        segments: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        link_growth: np.ndarray,
+        fold_key: Optional[np.ndarray] = None,
+    ) -> None:
+        num_blocks = slot_base.shape[0]
+        num_links = capacities.shape[0]
+        total_links = num_blocks * num_links
+        self.num_blocks = num_blocks
+        self.num_links = num_links
+        self.capacities = (
+            capacities if num_blocks == 1 else np.tile(capacities, num_blocks)
+        )
+        self.slot_counts = np.diff(np.append(slot_base, satisfy.shape[0]))
+        self.slot_block = np.repeat(
+            np.arange(num_blocks, dtype=np.intp), self.slot_counts
+        )
+        self.link_slot_base = np.repeat(slot_base, num_links)
+        self.satisfy = satisfy
+        self.growth = growth
+        self.demand = demand
+        self.active = active
+        self.row_start, self.row_count, self.row_links = rows
+        self.seg_start, self.seg_count, self.pool_slots, self.pool_values = segments
+        self.link_growth = link_growth
+        self.fold_key = fold_key
+        self.tau = np.empty(total_links, dtype=float)
+        #: Load contributed by frozen bundles (constant from their freeze
+        #: on), accumulated bundle-by-bundle so the arithmetic is
+        #: deterministic.
+        self.fixed = np.zeros(total_links, dtype=float)
+        self.now = np.zeros(num_blocks, dtype=float)
+
+    @classmethod
+    def of_layouts(
+        cls, layouts: Sequence[_SolverLayout], capacities: np.ndarray
+    ) -> "_Waterfall":
+        """The block-diagonal system of whole bundle lists, one per layout."""
+
+        def concat(arrays: List[np.ndarray]) -> np.ndarray:
+            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+        def bases(sizes: List[int]) -> np.ndarray:
+            offsets = np.zeros(len(sizes), dtype=np.intp)
+            np.cumsum(sizes[:-1], out=offsets[1:])
+            return offsets
+
+        slot_base = bases([len(layout) for layout in layouts])
+        row_base = bases([layout.row_links.shape[0] for layout in layouts])
+        pool_base = bases([layout.csr_slots.shape[0] for layout in layouts])
+        satisfy = concat([layout.satisfy for layout in layouts])
+        return cls(
+            capacities,
+            slot_base,
+            satisfy,
+            concat([layout.growth for layout in layouts]),
+            concat([layout.demands for layout in layouts]),
+            np.ones(satisfy.shape[0], dtype=bool),
+            (
+                np.concatenate(
+                    [layout.row_start + base for layout, base in zip(layouts, row_base)]
+                ),
+                concat([layout.row_count for layout in layouts]),
+                concat([layout.row_links for layout in layouts]),
+            ),
+            (
+                np.concatenate(
+                    [
+                        layout.csr_offsets[:-1] + base
+                        for layout, base in zip(layouts, pool_base)
+                    ]
+                ),
+                concat([layout.csr_counts for layout in layouts]),
+                concat([layout.csr_slots for layout in layouts]),
+                concat([layout.csr_values for layout in layouts]),
+            ),
+            concat([layout.link_growth for layout in layouts]),
+        )
+
+    def _entry_slots(
+        self, links: np.ndarray, counts: np.ndarray, src: np.ndarray
+    ) -> np.ndarray:
+        """Stacked slots of the pool entries *src* gathered for *links*."""
+        return self.pool_slots[src] + np.repeat(self.link_slot_base[links], counts)
+
+    def refresh(self, links: np.ndarray) -> None:
+        """Set each link's ``tau``: the earliest capacity-crossing time
+        under the currently active bundles (inf when it never crosses).
+
+        Works on the flattened (link, crossing bundle) pairs of the links
+        in question — O(total crossing bundles).  Every reduction is an
+        exact per-segment prefix sum (:func:`_segment_prefix_sums`), so a
+        link's crossing time is bitwise independent of which other links —
+        of any block — share the call; the lockstep loop resolves the stale
+        links of a whole batch in one invocation.
+        """
+        if links.size == 0:
+            return
+        tau, fixed, capacities = self.tau, self.fixed, self.capacities
+        counts_raw = self.seg_count[links]
+        src = _gather_slices(self.seg_start[links], counts_raw)
+        flat_raw = self._entry_slots(links, counts_raw, src)
+        mask = self.active[flat_raw]
+        cum_mask = np.zeros(flat_raw.shape[0] + 1, dtype=np.intp)
+        np.cumsum(mask, out=cum_mask[1:])
+        raw_offsets = np.zeros(links.shape[0] + 1, dtype=np.intp)
+        np.cumsum(counts_raw, out=raw_offsets[1:])
+        counts = cum_mask[raw_offsets[1:]] - cum_mask[raw_offsets[:-1]]
+        src_active = src[mask]
+        flat = flat_raw[mask]
+        new_tau = np.full(links.shape[0], np.inf)
+        if flat.size == 0:
+            tau[links] = new_tau
+            return
+
+        num_segments = links.shape[0]
+        offsets = np.zeros(num_segments + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        seg_of = np.repeat(np.arange(num_segments, dtype=np.intp), counts)
+        link_of = links[seg_of]
+
+        a = self.pool_values[src_active]
+        e_flat = self.satisfy[flat]
+        prefix_growth = _segment_prefix_sums(a, counts)
+        prefix_carried = _segment_prefix_sums(a * e_flat, counts)
+        seg_growth = np.where(
+            counts > 0, prefix_growth[np.maximum(offsets[1:] - 1, 0)], 0.0
+        )
+
+        # Load of each link at each crossing bundle's satisfy time: earlier
+        # bundles contribute their full demand, later ones keep growing.
+        load_at_e = (
+            fixed[link_of]
+            + prefix_carried
+            + (seg_growth[seg_of] - prefix_growth) * e_flat
+        )
+        crossed_at = np.nonzero(load_at_e >= capacities[link_of])[0]
+        if crossed_at.size:
+            # First crossing per segment: seg_of is nondecreasing, so the
+            # firsts are exactly where the segment id steps up.
+            crossed_seg = seg_of[crossed_at]
+            first_index = np.nonzero(np.diff(crossed_seg, prepend=-1) > 0)[0]
+            first_seg = crossed_seg[first_index]
+            i_star = crossed_at[first_index]
+            intra_star = i_star - offsets[first_seg]
+            # Exclusive prefixes right before the crossing bundle — read
+            # directly from the previous slot, never reconstructed by
+            # subtraction (which would not be exact).
+            excl_growth = np.where(
+                intra_star > 0, prefix_growth[np.maximum(i_star - 1, 0)], 0.0
+            )
+            excl_carried = np.where(
+                intra_star > 0, prefix_carried[np.maximum(i_star - 1, 0)], 0.0
+            )
+            slope = seg_growth[first_seg] - excl_growth
+            link_star = links[first_seg]
+            headroom = capacities[link_star] - fixed[link_star] - excl_carried
+            crossing_time = np.where(
+                slope > 0.0,
+                headroom / np.where(slope > 0.0, slope, 1.0),
+                e_flat[i_star],
+            )
+            new_tau[first_seg] = np.maximum(
+                crossing_time, self.now[link_star // self.num_links]
+            )
+        tau[links] = new_tau
+
+    def run(self, with_bottleneck: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Run the event loop from the current ``tau``; per-slot rates and,
+        when asked for, bottlenecks (block-local link index, -1 for none).
+
+        Each round commits the next saturation event of every block that
+        still has one pending, with the candidate search, the slack-band
+        load sweep and the freeze bookkeeping vectorized across blocks.  A
+        block's event sequence — and all of its arithmetic — is exactly the
+        serial per-block waterfall's; rounds merely run the blocks' next
+        events side by side, so a batch costs max-events-per-block rounds
+        of vectorized work instead of total-events passes through Python.
+
+        The slack-band sweep sums a link's load exactly only where the sum
+        can decide something.  A frozen bundle contributes at most its
+        committed rate and a growing one at most ``growth * tau*``, so
+        ``fixed + growing * tau*`` bounds each link's load at its block's
+        event instant from above.  A link whose bound stays below
+        ``threshold * (1 - 1e-9)`` cannot pass the load check: the margin
+        exceeds the bound's rounding by orders of magnitude.  Nor is a link
+        summed that already saturates by its crossing time this round.
+        Skipping these sums changes no saturation decision, and every kept
+        sum is the same reduction over the same contiguous entries as a
+        sweep over every link would compute.
+        """
+        num_blocks, num_links = self.num_blocks, self.num_links
+        total_links = num_blocks * num_links
+        active, satisfy, growth, demand = (
+            self.active, self.satisfy, self.growth, self.demand
+        )
+        slot_block, slot_counts = self.slot_block, self.slot_counts
+        row_start, row_count, row_links = self.row_start, self.row_count, self.row_links
+        seg_start, seg_count = self.seg_start, self.seg_count
+        tau, fixed, fold_key = self.tau, self.fixed, self.fold_key
+        num_slots = satisfy.shape[0]
+        rates = np.zeros(num_slots, dtype=float)
+        bottleneck = np.full(num_slots, -1, dtype=np.intp) if with_bottleneck else None
+        if num_links == 0:
+            rates[active] = demand[active]
+            return rates, bottleneck
+
+        # Time at which each slot stops growing: its satisfy time,
+        # overwritten with the saturation instant when truncated.  A frozen
+        # bundle's constant contribution is growth * stop.
+        stop = satisfy.copy()
+        satisfied_at = satisfy * (1.0 - _REL_EPS)
+        saturated = np.zeros(total_links, dtype=bool)
+        threshold = self.capacities - (self.capacities * _REL_EPS + _ABS_EPS)
+        slot_link_base = np.repeat(
+            np.arange(num_blocks, dtype=np.intp) * num_links, slot_counts
+        )
+        #: Summed growth of the still-growing bundles on each link, kept by
+        #: subtracting each bundle as it freezes, so ``fixed + growing * tau``
+        #: bounds a link's load at instant ``tau`` from above.  The
+        #: subtractions round relative to the link's initial total growth,
+        #: which is why that total starts inflated by the sweep margin.
+        growing = self.link_growth * (1.0 + _SWEEP_MARGIN)
+        #: Load bound a link must reach to have its exact load summed; +inf
+        #: for links no bundle crosses (saturating one changes no rate) and
+        #: for links as they saturate.
+        sweep_floor = np.where(seg_count > 0, threshold * (1.0 - _SWEEP_MARGIN), np.inf)
+        # Truncating a bundle only ever *delays* the saturation of the other
+        # links it crosses, so a stale tau is a lower bound.  Links touched by
+        # a truncation are marked dirty and lazily recomputed only when they
+        # reach their block's candidate minimum.
+        dirty = np.zeros(total_links, dtype=bool)
+
+        tau_matrix = tau.reshape(num_blocks, num_links)
+        dirty_matrix = dirty.reshape(num_blocks, num_links)
+        saturated_matrix = saturated.reshape(num_blocks, num_links)
+        fixed_matrix = fixed.reshape(num_blocks, num_links)
+        growing_matrix = growing.reshape(num_blocks, num_links)
+        sweep_floor_matrix = sweep_floor.reshape(num_blocks, num_links)
+        active_counts = np.bincount(slot_block[active], minlength=num_blocks)
+
+        for _ in range(num_links + 2):
+            if not active.any():
+                break
+            # Per-block candidate minima, with stale lower bounds resolved
+            # before any event commits.  A block's true event time is the
+            # minimum over its *clean* links — stale bounds only ever
+            # underestimate — so one grouped recompute of every dirty link
+            # at or below that clean minimum settles the round: recomputed
+            # values are at least their stale bounds, every remaining dirty
+            # bound exceeds the clean minimum, and therefore nothing dirty
+            # can tie or beat the committed candidate.  Recomputed values
+            # depend only on state frozen for the whole resolution, so the
+            # grouping-independent kernel resolves all blocks in one call.
+            if dirty.any():
+                clean_min = np.where(dirty_matrix, np.inf, tau_matrix).min(axis=1)
+                stale_matrix = (
+                    dirty_matrix
+                    & np.isfinite(tau_matrix)
+                    & (tau_matrix <= clean_min[:, None])
+                )
+                stale = np.nonzero(stale_matrix.ravel())[0]
+                if stale.size:
+                    self.refresh(stale)
+                    dirty[stale] = False
+            cand_tau = tau_matrix.min(axis=1)
+
+            live = active_counts > 0
+            finite = np.isfinite(cand_tau)
+            finish = live & ~finite
+            process = live & finite
+            if finish.any():
+                # No remaining link of these blocks ever saturates: every
+                # remaining bundle meets demand (a standalone solve exits
+                # its event loop here).
+                finishing = active & np.repeat(finish, slot_counts)
+                rates[finishing] = demand[finishing]
+                active[finishing] = False
+                active_counts[finish] = 0
+            if not process.any():
+                continue
+
+            # The event instant per block; -inf for blocks without an event
+            # this round, which propagates through every comparison below as
+            # "never" (growth rates are positive, so no 0 * inf NaNs).
+            tau_star_blocks = np.where(process, cand_tau, -np.inf)
+
+            newly_matrix = (
+                process[:, None]
+                & ~saturated_matrix
+                & (tau_matrix <= tau_star_blocks[:, None])
+            )
+            newly_flags = newly_matrix.ravel()
+            # Saturation sweep: links within the slack band of their
+            # threshold at their block's event instant saturate too,
+            # mirroring the reference model's per-event check.  Only links
+            # whose upper bound ``fixed + growing * tau*`` reaches the
+            # threshold (less the sweep margin), and that do not saturate by
+            # crossing time already, have their load summed; any other
+            # link's true load is below its threshold, so it would not
+            # saturate either way.  np.add.reduceat reduces each summed
+            # link's segment from its own contiguous entries alone, so the
+            # sums are bitwise those of a standalone solve (locked in by the
+            # batched-vs-single equivalence suite).  ``newly_flags`` is a
+            # flat view, so marking a link there marks it in newly_matrix.
+            reach = fixed_matrix + growing_matrix * np.where(
+                process, cand_tau, 0.0
+            )[:, None]
+            sweep = np.nonzero(
+                (
+                    process[:, None] & ~newly_matrix & (reach >= sweep_floor_matrix)
+                ).ravel()
+            )[0]
+            if sweep.size:
+                sweep_counts = seg_count[sweep]
+                src = _gather_slices(seg_start[sweep], sweep_counts)
+                contrib = self.pool_values[src] * np.minimum(
+                    stop[self._entry_slots(sweep, sweep_counts, src)],
+                    np.repeat(tau_star_blocks[sweep // num_links], sweep_counts),
+                )
+                sweep_starts = np.zeros(sweep.shape[0], dtype=np.intp)
+                np.cumsum(sweep_counts[:-1], out=sweep_starts[1:])
+                load = np.add.reduceat(contrib, sweep_starts)
+                newly_flags[sweep[load >= threshold[sweep]]] = True
+            if not newly_matrix.any(axis=1)[process].all():
+                raise TrafficModelError("traffic model made no progress")
+            saturated_matrix |= newly_matrix
+            tau_matrix[newly_matrix] = np.inf
+            sweep_floor_matrix[newly_matrix] = np.inf
+
+            # Bundles that met their demand at or before their block's
+            # saturation instant (with the model's relative slack) freeze
+            # satisfied.  Their stop was already encoded in the load curves,
+            # so they do not perturb the saturation times of other links.
+            tau_star_slot = np.repeat(tau_star_blocks, slot_counts)
+            frozen_mask = active & (satisfied_at <= tau_star_slot)
+            satisfied_slots = np.nonzero(frozen_mask)[0]
+            rates[satisfied_slots] = demand[satisfied_slots]
+            active[satisfied_slots] = False
+
+            # Still-growing bundles crossing a newly saturated link freeze
+            # truncated, attributing the first saturated link on their path.
+            # Unlike satisfied freezes, truncation changes the load curves of
+            # every other link those bundles cross, so those links go dirty.
+            newly_links = np.nonzero(newly_flags)[0]
+            crossing = np.zeros(num_slots, dtype=bool)
+            if newly_links.size:
+                hit_counts = seg_count[newly_links]
+                hit_src = _gather_slices(seg_start[newly_links], hit_counts)
+                hit_slots = self._entry_slots(newly_links, hit_counts, hit_src)
+                crossing[hit_slots[active[hit_slots]]] = True
+            crossing_slots = np.nonzero(crossing)[0]
+            affected_links: Optional[np.ndarray] = None
+            if crossing_slots.size:
+                cross_tau = tau_star_slot[crossing_slots]
+                rates[crossing_slots] = growth[crossing_slots] * cross_tau
+                stop[crossing_slots] = cross_tau
+                active[crossing_slots] = False
+                c_counts = row_count[crossing_slots]
+                c_src = _gather_slices(row_start[crossing_slots], c_counts)
+                c_links_local = row_links[c_src]
+                c_links_global = c_links_local + np.repeat(
+                    slot_link_base[crossing_slots], c_counts
+                )
+                if bottleneck is not None:
+                    # First newly saturated link on each truncated bundle's
+                    # path, in path order, in the block's local link space.
+                    c_seg = np.repeat(
+                        np.arange(crossing_slots.shape[0], dtype=np.intp), c_counts
+                    )
+                    hits = np.nonzero(newly_flags[c_links_global])[0]
+                    hit_seg = c_seg[hits]
+                    first_at = np.nonzero(np.diff(hit_seg, prepend=-1) > 0)[0]
+                    bottleneck[crossing_slots[hit_seg[first_at]]] = c_links_local[
+                        hits[first_at]
+                    ]
+                affected_links = c_links_global
+
+            # Fold every bundle frozen this round into the fixed load.
+            # bincount accumulates per index in entry order, and a bundle's
+            # entries touch only its own block's link range, so each link
+            # sees its own block's freezes in rank order — exactly the
+            # standalone solve's addition sequence.  Inserted slots merge in
+            # right before the slots they rank before.
+            frozen_mask[crossing_slots] = True
+            frozen = np.nonzero(frozen_mask)[0]
+            if fold_key is not None and frozen.size:
+                keys = fold_key[frozen]
+                inserted = keys >= 0
+                if inserted.any():
+                    ranked = frozen[~inserted]
+                    by_key = np.argsort(keys[inserted], kind="stable")
+                    frozen = np.insert(
+                        ranked,
+                        np.searchsorted(ranked, keys[inserted][by_key] // 2),
+                        frozen[inserted][by_key],
+                    )
+            if frozen.size:
+                f_counts = row_count[frozen]
+                f_src = _gather_slices(row_start[frozen], f_counts)
+                f_links = row_links[f_src] + np.repeat(slot_link_base[frozen], f_counts)
+                fixed += np.bincount(
+                    f_links,
+                    weights=np.repeat(rates[frozen], f_counts),
+                    minlength=total_links,
+                )
+                growing -= np.bincount(
+                    f_links,
+                    weights=np.repeat(growth[frozen], f_counts),
+                    minlength=total_links,
+                )
+                active_counts -= np.bincount(slot_block[frozen], minlength=num_blocks)
+
+            if affected_links is not None:
+                # Boolean scatter — duplicates are harmless, no dedup needed.
+                dirty[affected_links[~saturated[affected_links]]] = True
+            self.now[process] = cand_tau[process]
+            done = process & (active_counts == 0)
+            if done.any():
+                # Finished blocks: silence their remaining links so they can
+                # never become a candidate minimum again (a standalone solve
+                # would simply have exited its event loop here).
+                tau_matrix[done] = np.inf
+
+        if active.any():
+            raise TrafficModelError(
+                "traffic model did not converge within the event budget; "
+                "this indicates an internal inconsistency"
+            )
+        return rates, bottleneck
+
+
+def _rollup(
+    rates: np.ndarray,
+    flows: np.ndarray,
+    comp_ids: np.ndarray,
+    components: Sequence[Any],
+    delay_factors: np.ndarray,
+    agg_ids: np.ndarray,
+    agg_flows: np.ndarray,
+    agg_weights: np.ndarray,
+) -> List[float]:
+    """Weighted network utility of each row of a (blocks x columns) solution.
+
+    Per-flow bandwidth utility times the per-path delay factor,
+    flow-weighted per aggregate (clamped to 1), then averaged with the
+    aggregate weights.  A column with zero flows adds exactly 0.0 (its
+    per-flow rate is set to 0, never 0/0).  Every step is elementwise or
+    a per-(row, aggregate) ``bincount`` in column order, and the final dot
+    product runs once per row, so a row scores bitwise as it would alone.
+    """
+    num_rows = rates.shape[0]
+    num_aggs = agg_flows.shape[0]
+    per_flow = np.zeros_like(rates)
+    np.divide(rates, flows, out=per_flow, where=flows > 0.0)
+    utilities = np.empty_like(per_flow)
+    for comp_id, component in enumerate(components):
+        mask = comp_ids == comp_id
+        curve = component.curve
+        utilities[mask] = np.interp(per_flow[mask], curve.xs, curve.ys)
+    utilities *= delay_factors
+    row_aggs = agg_ids + (np.arange(num_rows, dtype=np.intp) * num_aggs)[:, None]
+    weighted = np.bincount(
+        row_aggs.ravel(),
+        weights=(utilities * flows).ravel(),
+        minlength=num_rows * num_aggs,
+    ).reshape(num_rows, num_aggs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        agg_utilities = np.where(agg_flows > 0.0, weighted / agg_flows, 0.0)
+    agg_utilities = np.minimum(agg_utilities, 1.0)
+    total_weight = agg_weights.sum()
+    return [float(np.dot(agg_weights, row) / total_weight) for row in agg_utilities]
+
+
+def _aggregate_weights(
+    compiled: CompiledBundles, weights: Optional[PriorityWeights]
+) -> np.ndarray:
+    """Each aggregate's roll-up weight: its flows times its class weight."""
+    weights = weights or PriorityWeights.uniform()
+    class_weights = np.asarray(
+        [weights.weight_for(name) for name in compiled.class_names], dtype=float
+    )
+    return compiled.agg_flows * class_weights[compiled.agg_class_ids]
 
 
 class CompiledTrafficModel:
@@ -737,534 +1388,50 @@ class CompiledTrafficModel:
         self,
         blocks: Sequence[CompiledBundles],
         capacities: Optional[np.ndarray] = None,
-        *,
-        warm_tau: Optional[np.ndarray] = None,
-        fresh_links: Optional[Sequence[Optional[np.ndarray]]] = None,
-        initial_tau_out: Optional[np.ndarray] = None,
     ) -> List[_Solution]:
         """Solve many independent compiled bundle lists in one stacked pass.
 
         Block *k* owns the stacked link range ``k*L .. (k+1)*L-1`` of a
-        block-diagonal system.  The event loop runs in *lockstep rounds*:
-        each round commits the next saturation event of every block that
-        still has one pending, with the candidate search, the slack-band
-        load sweep and the freeze bookkeeping vectorized across blocks.  A
-        batch therefore costs max-events-per-block rounds of array work
-        instead of total-events passes through Python — that is what makes
-        batched candidate scoring faster than per-move solves.
-
-        Bitwise equivalence with per-block ``solve`` calls is maintained by
-        making every floating-point reduction *exactly segment-local*: the
-        per-block stable sort, the per-segment prefix sums of the
-        crossing-time kernel (:func:`_segment_prefix_sums`), the per-link
-        ``np.add.reduceat`` load sums and the per-index ``bincount`` frozen
-        folds each see exactly the operand groupings a standalone one-block
-        solve would, no matter which blocks share the batch.  The fast
-        candidate scorer therefore provably selects the same move as one
-        solve per candidate would (tests/test_batched_scorer.py).
-
-        The slack-band sweep sums a link's load exactly only where the sum
-        can decide something.  A frozen bundle contributes at most its
-        committed rate and a growing one at most ``growth * tau*``, so
-        ``fixed + growing * tau*`` bounds each link's load at its block's
-        event instant from above.  A link whose bound stays below
-        ``threshold * (1 - 1e-9)`` cannot pass the load check: the margin
-        exceeds the bound's rounding by orders of magnitude.  Nor is a link
-        summed that already saturates by its crossing time this round.
-        Skipping these sums changes no saturation decision, and every kept
-        sum is the same reduction over the same contiguous entries as a
-        sweep over every link would compute.
+        block-diagonal system read through each block's solver layout
+        (:attr:`CompiledBundles.layout`), and :class:`_Waterfall` runs the
+        event loop over all blocks in lockstep rounds.  Bitwise equivalence
+        with per-block ``solve`` calls holds because every floating-point
+        reduction of the loop is exactly segment-local or per-block in rank
+        order (tests/test_batched_scorer.py); the candidate scorer's chunks
+        run the same loop.
 
         Counts ``len(blocks)`` evaluations.  ``capacities`` overrides the
         engine's per-link capacity vector for every block of this batch.
-
-        ``warm_tau`` seeds each block's initial per-link crossing times with
-        a vector previously captured via ``initial_tau_out`` (which copies
-        block 0's initial crossing times before the event loop runs).  Only
-        the per-block local link indices in ``fresh_links`` are recomputed
-        (``None`` for a block means all of its links).  Seeding is bitwise
-        safe exactly when, for every non-fresh link, the block's crossing
-        bundles and their stable-sorted order match the solve that produced
-        the warm vector — the candidate scorer guarantees this by marking
-        every link on a patched bundle's old or new path as fresh — and the
-        capacities must match as well.
         """
         num_blocks = len(blocks)
         self.evaluations += num_blocks
-        if capacities is None:
-            capacities = self._capacities
-        else:
-            capacities = np.asarray(capacities, dtype=float)
-            if capacities.shape != self._capacities.shape:
-                raise TrafficModelError(
-                    f"capacity override has shape {capacities.shape}, "
-                    f"expected {self._capacities.shape}"
-                )
-        num_links = capacities.shape[0]
+        capacities = self._capacity_vector(capacities)
         if num_blocks == 0:
             return []
+        layouts = [block.layout for block in blocks]
+        system = _Waterfall.of_layouts(layouts, capacities)
+        system.refresh(np.arange(num_blocks * capacities.shape[0], dtype=np.intp))
+        rates, bottleneck = system.run(with_bottleneck=True)
+        assert bottleneck is not None
+        solutions = []
+        slot_base = 0
+        for layout in layouts:
+            slots = layout.inverse + slot_base
+            solutions.append(_Solution(rates[slots], bottleneck[slots]))
+            slot_base += len(layout)
+        return solutions
 
-        def _concat(arrays: List[np.ndarray]) -> np.ndarray:
-            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-        block_sizes = np.asarray([len(block) for block in blocks], dtype=np.intp)
-        bundle_offsets = np.zeros(num_blocks + 1, dtype=np.intp)
-        np.cumsum(block_sizes, out=bundle_offsets[1:])
-        total_bundles = int(bundle_offsets[-1])
-        total_links = num_blocks * num_links
-
-        rates = np.zeros(total_bundles, dtype=float)
-        bottleneck = np.full(total_bundles, -1, dtype=np.intp)
-
-        def solutions() -> List[_Solution]:
-            return [
-                _Solution(
-                    rates[bundle_offsets[k] : bundle_offsets[k + 1]],
-                    bottleneck[bundle_offsets[k] : bundle_offsets[k + 1]],
-                )
-                for k in range(num_blocks)
-            ]
-
-        if total_bundles == 0:
-            return solutions()
-
-        demands = _concat([block.demands for block in blocks])
-        growth = _concat([block.growth for block in blocks])
-        if num_links == 0:
-            rates[:] = demands
-            return solutions()
-
-        # Absolute time at which each bundle meets its demand, if unconstrained.
-        # Sorted per block (stable), blocks concatenated, so block k's sorted
-        # positions stay contiguous — a single global argsort would interleave
-        # blocks and regroup every reduction relative to a standalone solve.
-        satisfy_at = demands / growth
-        order_cols = np.empty(total_bundles, dtype=np.intp)  # pos -> column
-        inverse_pos = np.empty(total_bundles, dtype=np.intp)  # column -> pos
-        # Same-size blocks sort through one row-wise 2-D argsort — a row's
-        # stable sort is bitwise the standalone 1-D sort of that block, and
-        # batching the calls removes the dominant per-block Python overhead
-        # (candidate batches are all patches of one base, so sizes cluster).
-        for size in np.unique(block_sizes):
-            size = int(size)
-            if size == 0:
-                continue
-            members = np.nonzero(block_sizes == size)[0]
-            starts = bundle_offsets[members]
-            if members.size == 1:
-                lo = int(starts[0])
-                hi = lo + size
-                local_order = np.argsort(satisfy_at[lo:hi], kind="stable")
-                order_cols[lo:hi] = local_order + lo
-                inverse_pos[lo:hi][local_order] = (
-                    np.arange(size, dtype=np.intp) + lo
-                )
-                continue
-            gather = starts[:, None] + np.arange(size, dtype=np.intp)[None, :]
-            local_orders = np.argsort(
-                satisfy_at[gather], kind="stable", axis=1
-            )
-            columns_flat = (local_orders + starts[:, None]).ravel()
-            positions_flat = gather.ravel()
-            order_cols[positions_flat] = columns_flat
-            inverse_pos[columns_flat] = positions_flat
-
-        # Columns and sorted positions share the block partition, so one
-        # bundle -> block map serves both index spaces.
-        block_of_bundle = np.repeat(
-            np.arange(num_blocks, dtype=np.intp), block_sizes
-        )
-        block_link_base = np.arange(num_blocks, dtype=np.intp) * num_links
-
-        e_sorted = satisfy_at[order_cols]
-        # Time at which each bundle (sorted order) stops growing: its satisfy
-        # time, overwritten with the saturation instant when truncated.  A
-        # frozen bundle's constant contribution is growth * stop.
-        stop_sorted = e_sorted.copy()
-
-        active_sorted = np.ones(total_bundles, dtype=bool)
-        saturated = np.zeros(total_links, dtype=bool)
-        #: Load contributed by frozen bundles (constant from their freeze on),
-        #: accumulated bundle-by-bundle so the arithmetic is deterministic.
-        fixed = np.zeros(total_links, dtype=float)
-        capacities_stacked = (
-            capacities if num_blocks == 1 else np.tile(capacities, num_blocks)
-        )
-        threshold = capacities_stacked - (capacities_stacked * _REL_EPS + _ABS_EPS)
-        tau = np.empty(total_links, dtype=float)
-        now_blocks = np.zeros(num_blocks, dtype=float)
-
-        # Row-major stacked link arrays (each bundle's links in path order,
-        # column order, block by block): shared by the CSR build, bottleneck
-        # attribution and the frozen-load folding.
-        row_links_local = _concat([block.flat_links[0] for block in blocks])
-        row_counts = _concat([block.flat_links[1] for block in blocks])
-        row_offsets = np.zeros(total_bundles + 1, dtype=np.intp)
-        np.cumsum(row_counts, out=row_offsets[1:])
-
-        # Stacked CSR over links: entry (link, pos, value) says the bundle at
-        # sorted position *pos* contributes *value* (its growth rate) to the
-        # link's load while growing.  Entries are ordered link-major /
-        # position-minor, the layout np.nonzero over a dense incidence matrix
-        # would produce, but built from the per-bundle link lists in O(nnz)
-        # without materializing anything dense.  (Paths are simple — Bundle
-        # enforces it — so no (link, pos) pair repeats.)
-        if row_links_local.size:
-            entry_links = row_links_local + np.repeat(
-                block_link_base[block_of_bundle], row_counts
-            )
-            entry_positions = np.repeat(inverse_pos, row_counts)
-            entry_values = np.repeat(growth, row_counts)
-            entry_order = _csr_entry_order(
-                entry_links, entry_positions, total_links, total_bundles
-            )
-            csr_links = entry_links[entry_order]
-            csr_positions = entry_positions[entry_order]
-            csr_values = entry_values[entry_order]
-        else:
-            csr_links = np.zeros(0, dtype=np.intp)
-            csr_positions = np.zeros(0, dtype=np.intp)
-            csr_values = np.zeros(0, dtype=float)
-        csr_offsets = np.zeros(total_links + 1, dtype=np.intp)
-        np.cumsum(np.bincount(csr_links, minlength=total_links), out=csr_offsets[1:])
-        csr_counts = np.diff(csr_offsets)
-        # Each entry's block, via its bundle (cheaper than dividing links).
-        csr_blocks = block_of_bundle[csr_positions]
-        #: Summed growth of the still-growing bundles on each link, kept by
-        #: subtracting each bundle as it freezes, so ``fixed + growing * tau``
-        #: bounds a link's load at instant ``tau`` from above.  The
-        #: subtractions round relative to the link's initial total growth,
-        #: which is why that total starts inflated by the sweep margin.
-        growing = np.bincount(csr_links, weights=csr_values, minlength=total_links)
-        growing *= 1.0 + _SWEEP_MARGIN
-        #: Load bound a link must reach to have its exact load summed; +inf
-        #: for links no bundle crosses (saturating one changes no rate) and
-        #: for links as they saturate.
-        sweep_floor = np.where(
-            csr_counts > 0, threshold * (1.0 - _SWEEP_MARGIN), np.inf
-        )
-
-        def recompute_tau(links: np.ndarray) -> None:
-            """Earliest capacity-crossing time of each link in *links* under
-            the currently active bundles (inf when it never crosses).
-
-            Works on the flattened (link, crossing bundle) pairs of the links
-            in question — O(total crossing bundles).  Every reduction is an
-            exact per-segment prefix sum (:func:`_segment_prefix_sums`), so a
-            link's crossing time is bitwise independent of which other links
-            — of any block — share the call; the lockstep loop resolves the
-            stale links of a whole batch in one invocation.
-            """
-            if links.size == 0:
-                return
-            counts_raw = csr_counts[links]
-            src = _gather_slices(csr_offsets[links], counts_raw)
-            flat_raw = csr_positions[src]
-            mask = active_sorted[flat_raw]
-            cum_mask = np.zeros(flat_raw.shape[0] + 1, dtype=np.intp)
-            np.cumsum(mask, out=cum_mask[1:])
-            raw_offsets = np.zeros(links.shape[0] + 1, dtype=np.intp)
-            np.cumsum(counts_raw, out=raw_offsets[1:])
-            counts = cum_mask[raw_offsets[1:]] - cum_mask[raw_offsets[:-1]]
-            src_active = src[mask]
-            flat = flat_raw[mask]
-            new_tau = np.full(links.shape[0], np.inf)
-            if flat.size == 0:
-                tau[links] = new_tau
-                return
-
-            num_segments = links.shape[0]
-            offsets = np.zeros(num_segments + 1, dtype=np.intp)
-            np.cumsum(counts, out=offsets[1:])
-            seg_of = np.repeat(np.arange(num_segments, dtype=np.intp), counts)
-            link_of = links[seg_of]
-
-            a = csr_values[src_active]
-            e_flat = e_sorted[flat]
-            prefix_growth = _segment_prefix_sums(a, counts)
-            prefix_carried = _segment_prefix_sums(a * e_flat, counts)
-            seg_growth = np.where(
-                counts > 0, prefix_growth[np.maximum(offsets[1:] - 1, 0)], 0.0
-            )
-
-            # Load of each link at each crossing bundle's satisfy time:
-            # earlier bundles contribute their full demand, later ones keep
-            # growing.
-            load_at_e = (
-                fixed[link_of]
-                + prefix_carried
-                + (seg_growth[seg_of] - prefix_growth) * e_flat
-            )
-            crossed_at = np.nonzero(load_at_e >= capacities_stacked[link_of])[0]
-            if crossed_at.size:
-                # First crossing per segment: seg_of is nondecreasing, so the
-                # firsts are exactly where the segment id steps up.
-                crossed_seg = seg_of[crossed_at]
-                first_index = np.nonzero(np.diff(crossed_seg, prepend=-1) > 0)[0]
-                first_seg = crossed_seg[first_index]
-                i_star = crossed_at[first_index]
-                intra_star = i_star - offsets[first_seg]
-                # Exclusive prefixes right before the crossing bundle — read
-                # directly from the previous slot, never reconstructed by
-                # subtraction (which would not be exact).
-                excl_growth = np.where(
-                    intra_star > 0, prefix_growth[np.maximum(i_star - 1, 0)], 0.0
-                )
-                excl_carried = np.where(
-                    intra_star > 0, prefix_carried[np.maximum(i_star - 1, 0)], 0.0
-                )
-                slope = seg_growth[first_seg] - excl_growth
-                link_star = links[first_seg]
-                headroom = (
-                    capacities_stacked[link_star] - fixed[link_star] - excl_carried
-                )
-                crossing_time = np.where(
-                    slope > 0.0,
-                    headroom / np.where(slope > 0.0, slope, 1.0),
-                    e_flat[i_star],
-                )
-                new_tau[first_seg] = np.maximum(
-                    crossing_time, now_blocks[link_star // num_links]
-                )
-            tau[links] = new_tau
-
-        # Initial crossing-time pass over every stacked link at once — the
-        # kernel's grouping independence makes one call equal to per-block
-        # calls.  With a warm seed, only each block's fresh links pay the
-        # kernel; every other link's crossing bundles (and their sorted
-        # order, hence every prefix sum) are identical to the solve that
-        # produced the seed, so copying is bitwise equal to recomputing.
-        if warm_tau is None:
-            recompute_tau(np.arange(total_links, dtype=np.intp))
-        else:
-            if warm_tau.shape != (num_links,):
-                raise TrafficModelError(
-                    f"warm_tau has shape {warm_tau.shape}, "
-                    f"expected {(num_links,)}"
-                )
-            tau_view = tau.reshape(num_blocks, num_links)
-            tau_view[:] = warm_tau[None, :]
-            fresh_parts: List[np.ndarray] = []
-            for k in range(num_blocks):
-                local = None if fresh_links is None else fresh_links[k]
-                if local is None:
-                    fresh_parts.append(
-                        np.arange(num_links, dtype=np.intp) + k * num_links
-                    )
-                elif len(local):
-                    fresh_parts.append(
-                        np.asarray(local, dtype=np.intp) + k * num_links
-                    )
-            if fresh_parts:
-                recompute_tau(_concat(fresh_parts))
-        if initial_tau_out is not None:
-            initial_tau_out[:] = tau[:num_links]
-        # Truncating a bundle only ever *delays* the saturation of the other
-        # links it crosses, so a stale tau is a lower bound.  Links touched by
-        # a truncation are marked dirty and lazily recomputed only when they
-        # reach their block's candidate minimum.
-        dirty = np.zeros(total_links, dtype=bool)
-
-        tau_matrix = tau.reshape(num_blocks, num_links)
-        dirty_matrix = dirty.reshape(num_blocks, num_links)
-        saturated_matrix = saturated.reshape(num_blocks, num_links)
-        fixed_matrix = fixed.reshape(num_blocks, num_links)
-        growing_matrix = growing.reshape(num_blocks, num_links)
-        sweep_floor_matrix = sweep_floor.reshape(num_blocks, num_links)
-        active_counts = block_sizes.copy()
-
-        # Lockstep event loop: each round commits the next saturation event
-        # of every block that still has one pending.  A block's event
-        # sequence — and all of its arithmetic — is exactly the serial
-        # per-block waterfall's; rounds merely run the blocks' next events
-        # side by side, so a batch costs max-events-per-block rounds of
-        # vectorized work instead of total-events passes through Python.
-        for _ in range(num_links + 2):
-            if not active_sorted.any():
-                break
-            # Per-block candidate minima, with stale lower bounds resolved
-            # before any event commits.  A block's true event time is the
-            # minimum over its *clean* links — stale bounds only ever
-            # underestimate — so one grouped recompute of every dirty link
-            # at or below that clean minimum settles the round: recomputed
-            # values are at least their stale bounds, every remaining dirty
-            # bound exceeds the clean minimum, and therefore nothing dirty
-            # can tie or beat the committed candidate.  Recomputed values
-            # depend only on state frozen for the whole resolution, so the
-            # grouping-independent kernel resolves all blocks in one call.
-            if dirty.any():
-                clean_min = np.where(dirty_matrix, np.inf, tau_matrix).min(axis=1)
-                stale_matrix = (
-                    dirty_matrix
-                    & np.isfinite(tau_matrix)
-                    & (tau_matrix <= clean_min[:, None])
-                )
-                stale = np.nonzero(stale_matrix.ravel())[0]
-                if stale.size:
-                    recompute_tau(stale)
-                    dirty[stale] = False
-            cand_tau = tau_matrix.min(axis=1)
-
-            live = active_counts > 0
-            finite = np.isfinite(cand_tau)
-            finish = live & ~finite
-            process = live & finite
-            if finish.any():
-                # No remaining link of these blocks ever saturates: every
-                # remaining bundle meets demand (a standalone solve exits
-                # its event loop here).
-                finish_pos = active_sorted & finish[block_of_bundle]
-                remaining = order_cols[finish_pos]
-                rates[remaining] = demands[remaining]
-                active_sorted[finish_pos] = False
-                active_counts[finish] = 0
-            if not process.any():
-                continue
-
-            # The event instant per block; -inf for blocks without an event
-            # this round, which propagates through every comparison below as
-            # "never" (growth rates are positive, so no 0 * inf NaNs).
-            tau_star_blocks = np.where(process, cand_tau, -np.inf)
-
-            newly_matrix = (
-                process[:, None]
-                & ~saturated_matrix
-                & (tau_matrix <= tau_star_blocks[:, None])
-            )
-            newly_flags = newly_matrix.ravel()
-            # Saturation sweep: links within the slack band of their
-            # threshold at their block's event instant saturate too,
-            # mirroring the reference model's per-event check.  Only links
-            # whose upper bound ``fixed + growing * tau*`` reaches the
-            # threshold (less the sweep margin), and that do not saturate by
-            # crossing time already, have their load summed; any other
-            # link's true load is below its threshold, so it would not
-            # saturate either way.  np.add.reduceat reduces each summed
-            # link's CSR segment from its own contiguous entries alone, so
-            # the sums are bitwise those of a standalone solve (locked in by
-            # the batched-vs-single equivalence suite).  ``newly_flags`` is a
-            # flat view, so marking a link there marks it in newly_matrix.
-            reach = fixed_matrix + growing_matrix * np.where(
-                process, cand_tau, 0.0
-            )[:, None]
-            sweep = np.nonzero(
-                (
-                    process[:, None] & ~newly_matrix & (reach >= sweep_floor_matrix)
-                ).ravel()
-            )[0]
-            if sweep.size:
-                sweep_counts = csr_counts[sweep]
-                src = _gather_slices(csr_offsets[sweep], sweep_counts)
-                contrib = csr_values[src] * np.minimum(
-                    stop_sorted[csr_positions[src]], tau_star_blocks[csr_blocks[src]]
-                )
-                sweep_starts = np.zeros(sweep.shape[0], dtype=np.intp)
-                np.cumsum(sweep_counts[:-1], out=sweep_starts[1:])
-                load = np.add.reduceat(contrib, sweep_starts)
-                newly_flags[sweep[load >= threshold[sweep]]] = True
-            if not newly_matrix.any(axis=1)[process].all():
-                raise TrafficModelError("traffic model made no progress")
-            saturated_matrix |= newly_matrix
-            tau_matrix[newly_matrix] = np.inf
-            sweep_floor_matrix[newly_matrix] = np.inf
-
-            # Bundles that met their demand at or before their block's
-            # saturation instant (with the model's relative slack) freeze
-            # satisfied.  Their stop was already encoded in the load curves,
-            # so they do not perturb the saturation times of other links.
-            tau_star_pos = tau_star_blocks[block_of_bundle]
-            satisfied_pos = active_sorted & (
-                e_sorted * (1.0 - _REL_EPS) <= tau_star_pos
-            )
-            satisfied_idx = order_cols[satisfied_pos]
-            rates[satisfied_idx] = demands[satisfied_idx]
-            active_sorted &= ~satisfied_pos
-
-            # Still-growing bundles crossing a newly saturated link freeze
-            # truncated, attributing the first saturated link on their path.
-            # Unlike satisfied freezes, truncation changes the load curves of
-            # every other link those bundles cross, so those links go dirty.
-            newly_links = np.nonzero(newly_flags)[0]
-            crossing_pos = np.zeros(total_bundles, dtype=bool)
-            if newly_links.size:
-                hit_src = _gather_slices(
-                    csr_offsets[newly_links], csr_counts[newly_links]
-                )
-                crossing_pos[csr_positions[hit_src]] = True
-            crossing_pos &= active_sorted
-            crossing_positions = np.nonzero(crossing_pos)[0]
-            crossing_idx = order_cols[crossing_positions]
-            affected_links: Optional[np.ndarray] = None
-            if crossing_idx.size:
-                cross_tau = tau_star_pos[crossing_positions]
-                rates[crossing_idx] = growth[crossing_idx] * cross_tau
-                stop_sorted[crossing_positions] = cross_tau
-                active_sorted[crossing_positions] = False
-                # First newly saturated link on each truncated bundle's path,
-                # in path order; bottlenecks are reported in the block's
-                # local dense link index space.
-                c_counts = row_counts[crossing_idx]
-                c_src = _gather_slices(row_offsets[crossing_idx], c_counts)
-                c_links_local = row_links_local[c_src]
-                c_links_global = c_links_local + np.repeat(
-                    block_link_base[block_of_bundle[crossing_positions]], c_counts
-                )
-                c_seg = np.repeat(
-                    np.arange(crossing_idx.shape[0], dtype=np.intp), c_counts
-                )
-                hits = np.nonzero(newly_flags[c_links_global])[0]
-                hit_seg = c_seg[hits]
-                first_at = np.nonzero(np.diff(hit_seg, prepend=-1) > 0)[0]
-                bottleneck[crossing_idx[hit_seg[first_at]]] = c_links_local[
-                    hits[first_at]
-                ]
-                affected_links = c_links_global
-
-            # Fold every bundle frozen this round into the fixed load.
-            # bincount accumulates per index in entry order, and a bundle's
-            # entries touch only its own block's link range, so each link
-            # sees its own block's freezes in position order — exactly the
-            # standalone solve's addition sequence.
-            frozen_pos = satisfied_pos | crossing_pos
-            frozen_positions = np.nonzero(frozen_pos)[0]
-            if frozen_positions.size:
-                frozen_idx = order_cols[frozen_positions]
-                f_counts = row_counts[frozen_idx]
-                f_src = _gather_slices(row_offsets[frozen_idx], f_counts)
-                f_links = row_links_local[f_src] + np.repeat(
-                    block_link_base[block_of_bundle[frozen_positions]], f_counts
-                )
-                fixed += np.bincount(
-                    f_links,
-                    weights=np.repeat(rates[frozen_idx], f_counts),
-                    minlength=total_links,
-                )
-                growing -= np.bincount(
-                    f_links,
-                    weights=np.repeat(growth[frozen_idx], f_counts),
-                    minlength=total_links,
-                )
-                active_counts -= np.bincount(
-                    block_of_bundle[frozen_positions], minlength=num_blocks
-                )
-
-            if affected_links is not None:
-                # Boolean scatter — duplicates are harmless, no dedup needed.
-                dirty[affected_links[~saturated[affected_links]]] = True
-            now_blocks[process] = cand_tau[process]
-            done = process & (active_counts == 0)
-            if done.any():
-                # Finished blocks: silence their remaining links so they can
-                # never become a candidate minimum again (a standalone solve
-                # would simply have exited its event loop here).
-                tau_matrix[done] = np.inf
-
-        if active_sorted.any():
+    def _capacity_vector(self, capacities: Optional[np.ndarray]) -> np.ndarray:
+        """The engine's capacities, or a validated per-link override."""
+        if capacities is None:
+            return self._capacities
+        capacities = np.asarray(capacities, dtype=float)
+        if capacities.shape != self._capacities.shape:
             raise TrafficModelError(
-                "traffic model did not converge within the event budget; "
-                "this indicates an internal inconsistency"
+                f"capacity override has shape {capacities.shape}, "
+                f"expected {self._capacities.shape}"
             )
-        return solutions()
+        return capacities
 
     # --------------------------------------------------------------- scoring
 
@@ -1285,30 +1452,16 @@ class CompiledTrafficModel:
         """
         if len(compiled) == 0:
             raise TrafficModelError("cannot score an empty bundle list")
-        weights = weights or PriorityWeights.uniform()
-        per_flow = rates / compiled.flows
-        utilities = np.empty(len(compiled), dtype=float)
-        comp_ids = compiled.comp_ids
-        for comp_id, component in enumerate(compiled.components):
-            mask = comp_ids == comp_id
-            curve = component.curve
-            utilities[mask] = np.interp(per_flow[mask], curve.xs, curve.ys)
-        utilities *= compiled.delay_factors
-
-        num_aggs = len(compiled.aggregates)
-        weighted = np.bincount(
-            compiled.agg_ids, weights=utilities * compiled.flows, minlength=num_aggs
-        )
-        agg_flows = compiled.agg_flows
-        with np.errstate(divide="ignore", invalid="ignore"):
-            agg_utilities = np.where(agg_flows > 0.0, weighted / agg_flows, 0.0)
-        agg_utilities = np.minimum(agg_utilities, 1.0)
-
-        class_weights = np.asarray(
-            [weights.weight_for(name) for name in compiled.class_names], dtype=float
-        )
-        agg_weights = agg_flows * class_weights[compiled.agg_class_ids]
-        return float(np.dot(agg_weights, agg_utilities) / agg_weights.sum())
+        return _rollup(
+            rates[None, :],
+            compiled.flows[None, :],
+            compiled.comp_ids[None, :],
+            compiled.components,
+            compiled.delay_factors[None, :],
+            compiled.agg_ids[None, :],
+            compiled.agg_flows,
+            _aggregate_weights(compiled, weights),
+        )[0]
 
     # -------------------------------------------------------------- assembly
 
@@ -1375,28 +1528,56 @@ def _adaptive_batch_size(num_links: int) -> int:
     )
 
 
+#: One changed row of a move, resolved against the base: its base column
+#: (-1 for a new to-path), its path and its bundle after the move (None
+#: when every flow leaves).
+_MoveRow = Tuple[int, Path, Optional[Bundle]]
+
+#: A parsed move patch: the moved aggregate's id, its from-row and its
+#: to-row (both None for an empty patch).
+_Move = Tuple[int, Optional[_MoveRow], Optional[_MoveRow]]
+
+#: A solved chunk's columns: rates, flows, component ids, the component
+#: list, delay factors and aggregate ids.
+_ChunkColumns = Tuple[
+    np.ndarray, np.ndarray, np.ndarray, List[Any], np.ndarray, np.ndarray
+]
+
+
 class BatchedCandidateScorer:
-    """Scores candidate patches of one compiled base through stacked solves.
+    """Scores move patches of one compiled base in the base's index space.
 
-    Solving one candidate at a time pays the per-solve fixed costs once per
-    candidate, and at scale those costs dominate the optimizer.  This scorer
-    compiles each candidate patch (cheap — O(changed rows)) and solves whole
-    batches through :meth:`CompiledTrafficModel.solve_batched`, whose
-    block-scoped arithmetic makes every score *bitwise* equal to a
-    one-candidate solve.  It is the optimizer's only scorer;
-    tests/test_batched_scorer.py keeps the one-solve-per-candidate loop as
-    the oracle every committed move is checked against.
+    Every candidate move of an optimization step differs from the step's
+    compiled base in two rows: the from-bundle shrinks (or goes) and the
+    to-bundle grows (or appears).  Instead of compiling, sorting and
+    building a CSR per candidate, the scorer reads every candidate block
+    through the base's solver layout (:attr:`CompiledBundles.layout`):
 
-    Candidates are patches of one shared base, so the scorer also solves the
-    base once and warm-seeds every candidate block's initial crossing times
-    from it: a candidate only re-derives the links its patched bundles
-    cross (old path or new), a few percent of the topology, instead of every
-    link from scratch.  Per-link crossing times on unpatched links are
-    bitwise the base's — the patch does not change those links' crossing
-    bundles or their stable-sorted order — so scores are unchanged.
+    * block *k* keeps the base's *n* rank slots plus two slots for the rows
+      the move inserts (the shrunk from-row, the grown or new to-row), each
+      ranked at its stable (satisfy time, column) place; the base slots of
+      the rows the move touches start inactive;
+    * each (block, link) segment points into the base's CSR, except the
+      segments a touched or inserted row crosses, which are rebuilt as the
+      base segment minus the touched rows plus the inserted ones at their
+      rank.  Blocks that change a link the same way (the candidates moving
+      one bundle share its from-row) share one rebuilt segment;
+    * each link the move leaves alone starts from the base's initial
+      crossing time, and only the distinct rebuilt segments pay the kernel;
+    * the shared :class:`_Waterfall` event loop solves the chunk, folding
+      inserted slots in rank order, and one roll-up scores it over the
+      base's *n* columns plus one for a new to-path.
+
+    Every score is *bitwise* the ``compile_patched`` + ``solve`` +
+    ``weighted_utility`` score of the same patch (tests/test_batched_scorer.py
+    keeps that loop as the oracle).  Only move-shaped patches are accepted
+    — at most one removed or shrunk row and at most one grown or new row of
+    one aggregate the base holds, moving the same number of flows — and any
+    other patch raises :class:`TrafficModelError`.  Counts one evaluation
+    per candidate, plus one for the base's initial crossing-time pass.
     """
 
-    __slots__ = ("engine", "base", "weights", "batch_size", "_warm_tau")
+    __slots__ = ("engine", "base", "weights", "batch_size", "_tau", "_agg_weights")
 
     def __init__(
         self,
@@ -1415,49 +1596,365 @@ class BatchedCandidateScorer:
         self.base = base
         self.weights = weights
         self.batch_size = batch_size
-        self._warm_tau: Optional[np.ndarray] = None
+        self._tau: Optional[np.ndarray] = None
+        self._agg_weights: Optional[np.ndarray] = None
 
-    def _base_tau(self) -> np.ndarray:
-        """Initial per-link crossing times of the base block (solved once)."""
-        if self._warm_tau is None:
-            buf = np.empty(self.engine._capacities.shape[0], dtype=float)
-            self.engine.solve_batched([self.base], initial_tau_out=buf)
-            self._warm_tau = buf
-        return self._warm_tau
-
-    def _fresh_links(self, patch: BundlePatch) -> np.ndarray:
-        """Local link indices whose crossing times the patch can change:
-        every link on a patched bundle's old path or new path."""
-        parts: List[np.ndarray] = []
+    def _parse(self, patch: BundlePatch) -> _Move:
+        """Validate a move patch and resolve its rows against the base."""
+        base = self.base
+        rows: Dict[str, Tuple[_MoveRow, int]] = {}
+        agg_key: Optional[AggregateKey] = None
         for (key, path), bundle in patch.items():
-            column = self.base.index.get((key, tuple(path)))
-            if column is not None:
-                parts.append(self.base.rows[column].link_indices)
-            if bundle is not None:
-                parts.append(self.engine._row_for(bundle).link_indices)
-        if not parts:
-            return np.zeros(0, dtype=np.intp)
-        return np.unique(np.concatenate(parts))
+            if agg_key is not None and key != agg_key:
+                raise TrafficModelError(
+                    f"a move patch changes one aggregate, got {agg_key!r} and {key!r}"
+                )
+            agg_key = key
+            path = tuple(path)
+            column = base.index.get((key, path), -1)
+            if column < 0 and bundle is None:
+                raise TrafficModelError(
+                    f"cannot remove unknown bundle ({key!r}, {path!r}) "
+                    "from the compiled base"
+                )
+            held = base.bundles[column].num_flows if column >= 0 else 0
+            flows = 0 if bundle is None else bundle.num_flows
+            role = "from" if flows < held else "to"
+            if flows == held or role in rows:
+                raise TrafficModelError(
+                    f"not a move patch: row ({key!r}, {path!r}) is a second "
+                    f"{role} row or leaves its flows unchanged"
+                )
+            rows[role] = ((column, path, bundle), abs(flows - held))
+        if agg_key is None:
+            return -1, None, None
+        if (
+            len(rows) != 2
+            or rows["from"][1] != rows["to"][1]
+            or agg_key not in base.agg_index
+        ):
+            raise TrafficModelError(
+                f"not a move patch of an aggregate the base holds: {agg_key!r} "
+                "needs one shrunk or removed row and one grown or new row "
+                "moving the same number of flows"
+            )
+        return base.agg_index[agg_key], rows["from"][0], rows["to"][0]
 
     def score(self, patches: Sequence[BundlePatch]) -> List[float]:
         """Weighted utility of each patched candidate, in input order."""
+        moves = [self._parse(patch) for patch in patches]
+        engine, base = self.engine, self.base
+        if self._agg_weights is None:
+            system = _Waterfall.of_layouts([base.layout], engine._capacities)
+            system.refresh(np.arange(base.num_links, dtype=np.intp))
+            self._tau = system.tau
+            self._agg_weights = _aggregate_weights(base, self.weights)
+            engine.evaluations += 1
+        agg_weights = self._agg_weights
+        engine.evaluations += len(moves)
         scores: List[float] = []
-        warm_tau = self._base_tau()
-        for start in range(0, len(patches), self.batch_size):
-            chunk = patches[start : start + self.batch_size]
-            compiled = [
-                self.engine.compile_patched(self.base, patch) for patch in chunk
-            ]
-            solved = self.engine.solve_batched(
-                compiled,
-                warm_tau=warm_tau,
-                fresh_links=[self._fresh_links(patch) for patch in chunk],
-            )
-            scores.extend(
-                self.engine.weighted_utility(candidate, solution.rates, self.weights)
-                for candidate, solution in zip(compiled, solved)
-            )
+        for start in range(0, len(moves), self.batch_size):
+            chunk = self._solve_chunk(moves[start : start + self.batch_size])
+            # A move keeps its aggregate's flow total, so every candidate's
+            # per-aggregate flows (sums of integers, exact in any order) and
+            # weights are the base's.
+            scores.extend(_rollup(*chunk, base.agg_flows, agg_weights))
         return scores
+
+    def _solve_chunk(self, moves: Sequence[_Move]) -> _ChunkColumns:
+        """Solve one chunk of parsed moves as one stacked system.
+
+        Returns the chunk's per-column (blocks x (n + 1)) rates, flows,
+        component ids, component list, delay factors and aggregate ids, in
+        :func:`_rollup`'s argument order.
+        """
+        rows = _ChunkRows(self.engine, self.base, moves)
+        rates, _ = self._system(rows).run(with_bottleneck=False)
+        base, num_bundles = self.base, len(self.base)
+
+        # Columns: the base's n, plus one for a new to-path.  A removed
+        # from-bundle keeps its column with zero flows and zero rate.
+        def columns(base_values: np.ndarray, dtype: Any) -> np.ndarray:
+            return _tiled(
+                base_values, rows.num_blocks, num_bundles, num_bundles + 1, 0, dtype
+            )
+
+        slot_rates = rates.reshape(rows.num_blocks, num_bundles + 2)
+        col_rates = columns(slot_rates[:, base.layout.inverse], float)
+        col_flows = columns(base.flows, float)
+        col_comp = columns(base.comp_ids, np.intp)
+        col_delay = columns(base.delay_factors, float)
+        col_agg = columns(base.agg_ids, np.intp)
+        blocks, cols = rows.blocks, rows.columns
+        col_flows[rows.touched[:, 0], rows.touched[:, 2]] = 0.0
+        col_rates[blocks, cols] = slot_rates[blocks, rows.slots]
+        col_flows[blocks, cols] = rows.flows
+        col_comp[blocks, cols] = rows.comp_ids
+        col_delay[blocks, cols] = rows.delay
+        col_agg[blocks, cols] = rows.agg_ids
+        return col_rates, col_flows, col_comp, rows.components, col_delay, col_agg
+
+    def _system(self, rows: "_ChunkRows") -> _Waterfall:
+        """The chunk's stacked system, with every link's initial ``tau``."""
+        base = self.base
+        layout = base.layout
+        assert self._tau is not None
+        num_bundles, num_links = len(base), base.num_links
+        num_blocks = rows.num_blocks
+        width = num_bundles + 2
+        blocks, slots = rows.blocks, rows.slots
+
+        # Slot arrays: the base's ranked slots, tiled, then the two slots of
+        # the rows a move inserts.
+        def slot_array(base_values: Any, fill: Any, dtype: Any) -> np.ndarray:
+            return _tiled(base_values, num_blocks, num_bundles, width, fill, dtype)
+
+        satisfy = slot_array(layout.satisfy, np.inf, float)
+        growth = slot_array(layout.growth, 0.0, float)
+        demand = slot_array(layout.demands, 0.0, float)
+        active = slot_array(True, False, bool)
+        row_start = slot_array(layout.row_start, 0, np.intp)
+        row_count = slot_array(layout.row_count, 0, np.intp)
+        fold_key = np.full((num_blocks, width), -1, dtype=np.intp)
+        touched_blocks, touched_roles = rows.touched[:, 0], rows.touched[:, 1]
+        touched_slot = layout.inverse[rows.touched[:, 2]]
+        touched_slots = np.full((2, num_blocks), -1, dtype=np.intp)
+        touched_slots[touched_roles, touched_blocks] = touched_slot
+        active[touched_blocks, touched_slot] = False
+        satisfy[blocks, slots] = rows.satisfy
+        growth[blocks, slots] = rows.growth
+        demand[blocks, slots] = rows.demand
+        active[blocks, slots] = True
+        link_counts = np.asarray(
+            [links.shape[0] for links in rows.links], dtype=np.intp
+        )
+        row_start[blocks, slots] = (
+            layout.row_links.shape[0] + np.cumsum(link_counts) - link_counts
+        )
+        row_count[blocks, slots] = link_counts
+        rank = layout.rank_of(rows.satisfy, rows.columns)
+        fold_key[blocks, slots] = 2 * (blocks * width + rank) + rows.order
+
+        # Rebuilt segments, one per distinct (link, changed rows crossing
+        # it) — the candidates moving one bundle share its from-row's — each
+        # built from the first (block, link) that reads it: the base
+        # segment minus the touched rows, plus each inserted row at its rank.
+        of_change = np.repeat(
+            np.arange(rows.changed.shape[0], dtype=np.intp),
+            [links.shape[0] for links in rows.changed_links],
+        )
+        seg_keys, seg_of_entry = np.unique(
+            rows.changed[of_change, 0] * num_links
+            + _concat_links(rows.changed_links),
+            return_inverse=True,
+        )
+        crossing = np.full((2, seg_keys.shape[0]), -1, dtype=np.intp)
+        crossing[rows.changed[of_change, 1], seg_of_entry] = rows.changed[of_change, 2]
+        stride = rows.num_changes + 1
+        _, first, shared = np.unique(
+            seg_keys % max(num_links, 1)
+            + num_links * ((crossing[0] + 1) + stride * (crossing[1] + 1)),
+            return_index=True,
+            return_inverse=True,
+        )
+        built = seg_keys[first]
+        num_built = built.shape[0]
+        built_blocks, built_links = np.divmod(built, max(num_links, 1))
+        base_counts = layout.csr_counts[built_links]
+        src = _gather_slices(layout.csr_offsets[built_links], base_counts)
+        entry_seg = np.repeat(np.arange(num_built, dtype=np.intp), base_counts)
+        entry_slots = layout.csr_slots[src]
+        entry_blocks = np.repeat(built_blocks, base_counts)
+        keep = (entry_slots != touched_slots[0][entry_blocks]) & (
+            entry_slots != touched_slots[1][entry_blocks]
+        )
+        entry_seg = entry_seg[keep]
+        entry_slots = entry_slots[keep]
+        entry_values = layout.csr_values[src][keep]
+        # Insertions are ordered by segment, then rank, then order in the
+        # block, so two that land on one pool index at a segment boundary
+        # still go to their own segments.
+        of_row = np.repeat(np.arange(link_counts.shape[0], dtype=np.intp), link_counts)
+        row_seg = np.searchsorted(
+            seg_keys, blocks[of_row] * num_links + _concat_links(rows.links)
+        )
+        builds = first[shared[row_seg]] == row_seg
+        of_row = of_row[builds]
+        new_seg = shared[row_seg[builds]]
+        new_key = new_seg * (num_bundles + 1) + rank[of_row]
+        by_key = np.argsort(2 * new_key + rows.order[of_row], kind="stable")
+        at = np.searchsorted(
+            entry_seg * (num_bundles + 1) + entry_slots, new_key[by_key]
+        )
+        entry_seg = np.insert(entry_seg, at, new_seg[by_key])
+        entry_slots = np.insert(entry_slots, at, slots[of_row][by_key])
+        entry_values = np.insert(entry_values, at, rows.growth[of_row][by_key])
+        built_counts = np.bincount(entry_seg, minlength=num_built)
+        built_growth = np.bincount(entry_seg, weights=entry_values, minlength=num_built)
+
+        seg_start = np.tile(layout.csr_offsets[:-1], num_blocks)
+        seg_count = np.tile(layout.csr_counts, num_blocks)
+        link_growth = np.tile(layout.link_growth, num_blocks)
+        seg_start[seg_keys] = (
+            layout.csr_slots.shape[0] + np.cumsum(built_counts) - built_counts
+        )[shared]
+        seg_count[seg_keys] = built_counts[shared]
+        link_growth[seg_keys] = built_growth[shared]
+        system = _Waterfall(
+            self.engine._capacities,
+            np.arange(num_blocks, dtype=np.intp) * width,
+            satisfy.ravel(),
+            growth.ravel(),
+            demand.ravel(),
+            active.ravel(),
+            (
+                row_start.ravel(),
+                row_count.ravel(),
+                np.concatenate([layout.row_links] + rows.links),
+            ),
+            (
+                seg_start,
+                seg_count,
+                np.concatenate([layout.csr_slots, entry_slots]),
+                np.concatenate([layout.csr_values, entry_values]),
+            ),
+            link_growth,
+            fold_key=fold_key.ravel(),
+        )
+        # A link the move leaves alone starts at the base's crossing time;
+        # a shared segment starts the same in every block that reads it
+        # (same entries, all active, nothing frozen yet).
+        system.tau[:] = np.tile(self._tau, num_blocks)
+        system.refresh(built)
+        system.tau[seg_keys] = system.tau[built][shared]
+        return system
+
+
+def _concat_links(parts: List[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
+def _tiled(
+    values: Any, rows: int, count: int, width: int, fill: Any, dtype: Any
+) -> np.ndarray:
+    """A (rows x width) matrix whose first *count* columns repeat *values*
+    in every row and whose other columns hold *fill*."""
+    matrix = np.full((rows, width), fill, dtype=dtype)
+    matrix[:, :count] = values
+    return matrix
+
+
+class _ChunkRows:
+    """The rows a chunk of moves touches and inserts, block by block.
+
+    A *touched* row is a base row the move changes (its base slot starts
+    inactive); an *inserted* row is the row after the move (the shrunk
+    from-row in slot ``n``, the grown or new to-row in slot ``n + 1``).
+    ``order`` is an inserted row's place among its block's inserted rows in
+    the stable (satisfy time, column) order.  A *change* is one row's new
+    state — path and flows — numbered so that blocks making the same change
+    can share the segments it rebuilds.
+    """
+
+    __slots__ = (
+        "num_blocks",
+        "components",
+        "touched",
+        "blocks",
+        "slots",
+        "columns",
+        "agg_ids",
+        "comp_ids",
+        "order",
+        "demand",
+        "growth",
+        "satisfy",
+        "flows",
+        "delay",
+        "links",
+        "changed",
+        "changed_links",
+        "num_changes",
+    )
+
+    def __init__(
+        self,
+        engine: CompiledTrafficModel,
+        base: CompiledBundles,
+        moves: Sequence[_Move],
+    ) -> None:
+        num_bundles = len(base)
+        components = list(base.components)
+        touched: List[Tuple[int, int, int]] = []  # block, role, base column
+        # block, slot, column, aggregate id, component id, order in block
+        inserted: List[Tuple[int, int, int, int, int, int]] = []
+        values: List[Tuple[float, float, float, float]] = []
+        links: List[np.ndarray] = []
+        changed: List[Tuple[int, int, int]] = []  # block, role, change id
+        changed_links: List[np.ndarray] = []
+        change_ids: Dict[Tuple[int, Path, int], int] = {}
+        for k, (agg_id, from_row, to_row) in enumerate(moves):
+            block_rows: List[Tuple[float, int, int, _BundleRow, float, float, int]] = []
+            for role, move_row in enumerate((from_row, to_row)):
+                if move_row is None:
+                    continue
+                column, path, bundle = move_row
+                if column >= 0:
+                    touched.append((k, role, column))
+                flows = 0 if bundle is None else bundle.num_flows
+                if bundle is None:
+                    row_links = base.rows[column].link_indices
+                else:
+                    row = engine._row_for(bundle)
+                    row_links = row.link_indices
+                    row_demand = flows * row.per_flow_demand_bps
+                    row_growth = engine._growth_of(bundle, row)
+                    placed = column if column >= 0 else num_bundles
+                    block_rows.append(
+                        (
+                            row_demand / row_growth,
+                            placed,
+                            role,
+                            row,
+                            row_demand,
+                            row_growth,
+                            flows,
+                        )
+                    )
+                change = change_ids.setdefault((agg_id, path, flows), len(change_ids))
+                changed.append((k, role, change))
+                changed_links.append(row_links)
+            block_rows.sort(key=lambda item: (item[0], item[1]))
+            for order, block_row in enumerate(block_rows):
+                _, placed, role, row, row_demand, row_growth, flows = block_row
+                try:
+                    comp_id = components.index(row.bandwidth)
+                except ValueError:
+                    comp_id = len(components)
+                    components.append(row.bandwidth)
+                inserted.append((k, num_bundles + role, placed, agg_id, comp_id, order))
+                values.append((row_demand, row_growth, float(flows), row.delay_utility))
+                links.append(row.link_indices)
+
+        self.num_blocks = len(moves)
+        self.components = components
+        self.touched = np.asarray(touched, dtype=np.intp).reshape(-1, 3)
+        (
+            self.blocks,
+            self.slots,
+            self.columns,
+            self.agg_ids,
+            self.comp_ids,
+            self.order,
+        ) = np.asarray(inserted, dtype=np.intp).reshape(-1, 6).T
+        self.demand, self.growth, self.flows, self.delay = (
+            np.asarray(values, dtype=float).reshape(-1, 4).T
+        )
+        self.satisfy = self.demand / self.growth
+        self.links = links
+        self.changed = np.asarray(changed, dtype=np.intp).reshape(-1, 3)
+        self.changed_links = changed_links
+        self.num_changes = len(change_ids)
 
 
 #: Default number of distinct (topology, config) engines a cache retains.

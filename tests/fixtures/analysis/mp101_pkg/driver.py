@@ -2,7 +2,13 @@
 
 from multiprocessing import Pool
 
-from .worker import audited_handle, handle, handle_with_caches
+from .worker import (
+    audited_handle,
+    handle,
+    handle_arrays,
+    handle_events,
+    handle_with_caches,
+)
 
 
 def run_all(items):
@@ -10,4 +16,6 @@ def run_all(items):
         good = pool.map(handle_with_caches, items)
         bad = pool.map(handle, items)
         audited = pool.map(audited_handle, items)
-    return good, bad, audited
+        arrays = pool.map(handle_arrays, items)
+        events = pool.map(handle_events, items)
+    return good, bad, audited, arrays, events

@@ -2,6 +2,8 @@
 
 REGISTRY = {}
 
+EVENTS = []
+
 
 class WorkerCaches:
     def __init__(self):

@@ -1,5 +1,8 @@
-"""Worker bodies: one writes module state, one uses the passed-in caches."""
+"""Worker bodies: some write module state, some only look as if they do."""
 
+import numpy as np
+
+from . import state
 from .state import REGISTRY
 
 _SCRATCH = {}
@@ -18,4 +21,16 @@ def handle_with_caches(item, caches):
 def audited_handle(item):
     # repro: allow[MP101] — per-process memo only; entries are never read across workers
     _SCRATCH[item] = item
+    return item
+
+
+def handle_arrays(item):
+    # Module functions named like container methods write no module state.
+    values = np.insert(np.arange(item), 0, item)
+    values = np.append(values, item)
+    return np.add(values, values)
+
+
+def handle_events(item):
+    state.EVENTS.append(item)  # expect: MP101
     return item

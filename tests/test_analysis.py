@@ -499,6 +499,8 @@ def test_mp101_submission_edges_are_typed():
         ("mp101_pkg.driver.run_all", "mp101_pkg.worker.handle"),
         ("mp101_pkg.driver.run_all", "mp101_pkg.worker.handle_with_caches"),
         ("mp101_pkg.driver.run_all", "mp101_pkg.worker.audited_handle"),
+        ("mp101_pkg.driver.run_all", "mp101_pkg.worker.handle_arrays"),
+        ("mp101_pkg.driver.run_all", "mp101_pkg.worker.handle_events"),
     }
 
 

@@ -329,7 +329,8 @@ class TestJsonlStreaming:
         records = load_jsonl_records(stream)
         assert len(records) == 2
         # Drop a line to simulate an interrupted sweep; the report still renders.
-        lines = open(stream).read().splitlines()
+        with open(stream) as handle:
+            lines = handle.read().splitlines()
         with open(stream, "w") as handle:
             handle.write(lines[0] + "\n")
         assert cli_main(["report", "--from-jsonl", stream]) == 0
