@@ -183,9 +183,8 @@ class FubarOptimizer:
                 break
 
             progress = False
-            # Compile the current allocation once and share it across every
-            # congested link this iteration visits; candidate moves patch it.
-            compiled_base = self.model.engine.compile(state.bundles())
+            # Every congested link this iteration visits scores its moves
+            # against the compiled bundle list the current result solved.
             for link_id in result.congested_links_by_oversubscription():
                 step_result = perform_step(
                     link_id,
@@ -196,7 +195,6 @@ class FubarOptimizer:
                     config,
                     result,
                     escalation_level,
-                    compiled_base=compiled_base,
                 )
                 if step_result.progress:
                     state = step_result.state

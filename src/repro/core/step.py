@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.config import FubarConfig
 from repro.core.state import AllocationState
+from repro.exceptions import OptimizationError
 from repro.paths.generator import PathGenerator
 from repro.paths.pathset import PathSet
 from repro.topology.graph import LinkId, Path
 from repro.traffic.aggregate import AggregateKey
 from repro.trafficmodel.bundle import Bundle
-from repro.trafficmodel.compiled import BatchedCandidateScorer, CompiledBundles
+from repro.trafficmodel.compiled import BatchedCandidateScorer
 from repro.trafficmodel.result import TrafficModelResult
 from repro.trafficmodel.waterfill import TrafficModel
 
@@ -157,31 +156,22 @@ def _best_move(
     config: FubarConfig,
     current_result: TrafficModelResult,
     escalation_level: int,
-    compiled_base: Optional[CompiledBundles],
+    utility_now: float,
 ) -> Optional[_Move]:
     """The first candidate move with the best score, or None if none improves.
 
-    The base bundle list is compiled once; every candidate becomes a
-    ``move_delta`` patch of the two bundles it changes, and one
+    Every candidate becomes a ``move_delta`` patch of the two bundles it
+    changes, and one
     :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer` scores them
-    all in the base's index space — no per-candidate compile, no result
-    objects, no graph walks.  A move must beat the current utility by
-    ``config.min_utility_improvement``.
+    all in the index space of the bundle list *current_result* solved — no
+    compile, no result objects, no graph walks.  A move must beat
+    *utility_now* (the current weighted utility, summed as the scores are)
+    by ``config.min_utility_improvement``.
     """
-    engine = model.engine
-    weights = config.priority_weights
-    if compiled_base is None:
-        compiled_base = engine.compile(state.bundles())
-    base_rates = np.asarray(
-        [outcome.rate_bps for outcome in current_result.outcomes], dtype=float
-    )
-    if base_rates.shape[0] != len(compiled_base):
-        raise ValueError(
-            "current_result does not correspond to the compiled base "
-            f"({base_rates.shape[0]} outcomes vs {len(compiled_base)} bundles)"
-        )
-    best_score = engine.weighted_utility(compiled_base, base_rates, weights)
-    best_score += config.min_utility_improvement
+    base = current_result.compiled
+    if base is None:
+        raise OptimizationError("perform_step needs a result of the compiled engine")
+    best_score = utility_now + config.min_utility_improvement
     best: Optional[_Move] = None
 
     moves: List[_Move] = []
@@ -195,7 +185,7 @@ def _best_move(
         deltas.append(state.move_delta(key, bundle.path, candidate, num_to_move))
     if not moves:
         return None
-    scorer = BatchedCandidateScorer(engine, compiled_base, weights)
+    scorer = BatchedCandidateScorer(model.engine, base, config.priority_weights)
     for move, score in zip(moves, scorer.score(deltas)):
         if score > best_score:
             best_score = score
@@ -212,22 +202,19 @@ def perform_step(
     config: FubarConfig,
     current_result: TrafficModelResult,
     escalation_level: int = 0,
-    compiled_base: Optional[CompiledBundles] = None,
 ) -> StepResult:
     """Run one step of Listing 2 on the congested link *link_id*.
 
-    Candidate moves are scored on patched compiled arrays (see
-    :func:`_best_move`); the winning move is then committed by evaluating
-    the moved state once, so the returned result reflects the canonical
-    bundle ordering of the new state.
+    Candidate moves are scored against the compiled bundle list
+    *current_result* carries and must beat its utility (see
+    :func:`_best_move`), so a state is compiled once, when it is evaluated;
+    the winning move is then committed by evaluating the moved state once,
+    so the returned result reflects the canonical bundle ordering of the new
+    state.
 
     Returns a :class:`StepResult`; when ``progress`` is True the returned
     state/result reflect the committed move and the moved-to path has been
     added to the aggregate's path set.
-
-    ``compiled_base`` optionally passes a pre-compiled base bundle list (the
-    optimizer compiles the state once per main-loop iteration and shares it
-    across the congested links it visits).
     """
     weights = config.priority_weights
     utility_before = current_result.network_utility(weights)
@@ -240,7 +227,7 @@ def perform_step(
         config,
         current_result,
         escalation_level,
-        compiled_base,
+        utility_before,
     )
     if best is None:
         return StepResult(

@@ -5,10 +5,9 @@ provisioning; this module answers "where": given a fixed budget of upgrade
 rounds, which individual links are worth widening first?  Each round
 
 1. looks at the current plan's congested links, most oversubscribed first;
-2. scores every candidate upgrade with a *cheap probe*: the current
-   allocation is compiled once
-   (:meth:`~repro.trafficmodel.compiled.CompiledTrafficModel.compile`) and
-   each candidate only swaps the capacity vector of the solve
+2. scores every candidate upgrade with a *cheap probe*: each candidate
+   re-solves the compiled bundle list the incumbent plan's result carries
+   with only the capacity vector swapped
    (:meth:`~repro.trafficmodel.compiled.CompiledTrafficModel.solve` with a
    ``capacities`` override) — the evaluate-patched trick applied to the
    supply side instead of the demand side;
@@ -228,15 +227,14 @@ def greedy_link_upgrades(
             if len(fibres) >= candidates_per_round:
                 break
 
-        # Cheap probes: compile the incumbent allocation once, then score
-        # every candidate by solving with a patched capacity vector.
+        # Cheap probes: score every candidate by re-solving the incumbent's
+        # compiled allocation with a patched capacity vector.
         engine = traffic_model_for(current_network, cache=model_cache).engine
-        compiled = engine.compile(result.state.bundles())
+        compiled = model_result.compiled
+        assert compiled is not None
         base_capacities = np.asarray(current_network.capacities(), dtype=float)
-        utility_now = engine.weighted_utility(
-            compiled, engine.solve(compiled).rates, config.priority_weights
-        )
-        round_evaluations = 1
+        utility_now = result.weighted_utility
+        round_evaluations = 0
         best: Optional[Tuple[float, float, LinkId, Tuple[LinkId, ...], float]] = None
         for link_id in fibres:
             directions = _fibre_directions(current_network, link_id)

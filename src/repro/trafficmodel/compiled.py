@@ -16,7 +16,9 @@ bundle.  This module removes both costs:
 * :meth:`CompiledTrafficModel.compile_patched` derives the arrays of a
   *candidate* bundle list from an already-compiled base by patching only the
   rows a move changes (reduce/remove the from-path bundle, grow/append the
-  to-path bundle) instead of rebuilding all of them;
+  to-path bundle) instead of rebuilding all of them.  The optimizer no
+  longer runs it: it is the oracle the candidate scorer is tested against
+  and an arm of the running-time and scale benchmarks;
 * :meth:`CompiledTrafficModel.solve` replaces the one-event-per-bundle loop
   with a *waterfall* formulation: between two link-saturation events every
   bundle's rate trajectory is the closed form ``min(growth * t, demand)``, so
@@ -36,10 +38,16 @@ bundle.  This module removes both costs:
   layout's order and link segments and rebuilds only the segments the two
   rows cross — no per-candidate compile, sort or CSR build — before one
   shared event loop solves the chunk and one roll-up scores it;
-* :meth:`CompiledTrafficModel.weighted_utility` scores a solution without
-  constructing any result objects, vectorizing the flow-weighted utility
-  roll-up over cached per-path delay factors and grouped bandwidth
-  components (the scorer runs the same roll-up over a whole chunk).
+* one vectorized roll-up turns rates into utilities, over cached per-path
+  delay factors and grouped bandwidth components: :meth:`result_of
+  <CompiledTrafficModel.result_of>` gives every result its per-aggregate
+  utilities (and the compiled list and rates it solved, which the
+  optimizer's next step scores against), and
+  :meth:`CompiledTrafficModel.weighted_utility` and the scorer average them
+  with the sequential sum of
+  :func:`~repro.utility.aggregation.network_utility`, so the
+  ``weighted_utility`` of a compiled list equals its result's
+  ``network_utility`` bit for bit.
 
 The engine is semantically equivalent to ``reference_evaluate`` (same event
 ordering rules, same satisfaction/saturation tolerances); the equivalence is
@@ -53,11 +61,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-try:  # SciPy's C counting sort builds a layout's CSR ~3x faster than argsort.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy ships with the baselines
-    _sparse = None
+from scipy import sparse
 
 from repro.exceptions import TrafficModelError
 from repro.topology.graph import Network, Path
@@ -69,7 +73,7 @@ from repro.trafficmodel.waterfill import (
     _REL_EPS,
     TrafficModelConfig,
 )
-from repro.utility.aggregation import PriorityWeights
+from repro.utility.aggregation import AggregateUtility, PriorityWeights
 
 #: Relative margin of the solver's bounded saturation sweep: each link's
 #: load bound starts from its total growth inflated by it and is compared
@@ -90,29 +94,22 @@ class _BundleRow:
         "utility",
         "bandwidth",
         "link_indices",
-        "column",
         "rtt_s",
-        "path_delay_s",
         "per_flow_demand_bps",
         "delay_utility",
     )
 
     def __init__(self, network: Network, bundle: Bundle, min_rtt_s: float) -> None:
-        indices = np.asarray(network.path_link_indices(bundle.path), dtype=np.intp)
-        column = np.zeros(network.num_links, dtype=float)
-        # Accumulate rather than assign so a link crossed twice counts twice
-        # (Bundle rejects non-simple paths, but the row stays correct even if
-        # that guard is ever relaxed).
-        np.add.at(column, indices, 1.0)
         utility = bundle.aggregate.utility
         self.utility = utility
         self.bandwidth = utility.bandwidth
-        self.link_indices = indices
-        self.column = column
-        self.path_delay_s = network.path_delay(bundle.path)
-        self.rtt_s = max(2.0 * self.path_delay_s, min_rtt_s)
+        self.link_indices = np.asarray(
+            network.path_link_indices(bundle.path), dtype=np.intp
+        )
+        path_delay_s = network.path_delay(bundle.path)
+        self.rtt_s = max(2.0 * path_delay_s, min_rtt_s)
         self.per_flow_demand_bps = bundle.per_flow_demand_bps
-        self.delay_utility = float(utility.delay(self.path_delay_s))
+        self.delay_utility = float(utility.delay(path_delay_s))
 
 
 class _Solution:
@@ -150,7 +147,6 @@ class CompiledBundles:
         "comp_ids",
         "components",
         "delay_factors",
-        "_incidence",
         "_index",
         "_agg_flows",
         "_flat_links",
@@ -165,7 +161,6 @@ class CompiledBundles:
         demands: np.ndarray,
         growth: np.ndarray,
         flows: np.ndarray,
-        incidence: Optional[np.ndarray],
         agg_ids: np.ndarray,
         aggregates: List[Aggregate],
         agg_index: Dict[AggregateKey, int],
@@ -182,7 +177,6 @@ class CompiledBundles:
         self.growth = growth
         self.flows = flows
         self.num_links = num_links
-        self._incidence = incidence
         self.agg_ids = agg_ids
         self.aggregates = aggregates
         self.agg_index = agg_index
@@ -199,22 +193,6 @@ class CompiledBundles:
 
     def __len__(self) -> int:
         return len(self.bundles)
-
-    @property
-    def incidence(self) -> np.ndarray:
-        """Dense link x bundle incidence matrix, built on first use.
-
-        The solver works off :attr:`flat_links` (sparse, deterministic
-        accumulation order), so patched candidates on the optimizer's hot
-        path never pay the O(links x bundles) stack; the dense matrix is
-        only materialized for diagnostics and external consumers.
-        """
-        if self._incidence is None:
-            if self.rows:
-                self._incidence = np.stack([row.column for row in self.rows], axis=1)
-            else:
-                self._incidence = np.zeros((self.num_links, 0), dtype=float)
-        return self._incidence
 
     @property
     def index(self) -> Dict[Tuple[AggregateKey, Path], int]:
@@ -259,6 +237,14 @@ class CompiledBundles:
         if self._layout is None:
             self._layout = _SolverLayout(self)
         return self._layout
+
+    def rollup(self, rates: np.ndarray) -> np.ndarray:
+        """Per-aggregate utilities of one solution, by aggregate id."""
+        return _rollup(
+            rates[None, :], self.flows[None, :], self.comp_ids[None, :],
+            self.components, self.delay_factors[None, :], self.agg_ids[None, :],
+            self.agg_flows,
+        )[0]
 
 
 def _spliced_flat_links(
@@ -328,24 +314,14 @@ def _csr_entry_order(
 
     The (link, position) pairs must be unique — the traffic model guarantees
     it because paths are simple.  SciPy's COO→CSR conversion is a C counting
-    sort over exactly this key and runs ~3x faster than the numpy radix
-    fallback; both produce the identical permutation, so results are bitwise
-    independent of which path is taken.
+    sort over exactly this key, ~3x faster than a numpy argsort.
     """
-    if _sparse is not None:
-        matrix = _sparse.coo_matrix(
-            (np.arange(links.shape[0], dtype=np.intp), (links, positions)),
-            shape=(num_rows, num_cols),
-        ).tocsr()
-        matrix.sort_indices()
-        return matrix.data
-    # One radix argsort over a combined (link, pos) key beats lexsort's two
-    # mergesort passes ~2x; int32 keys halve the radix passes again whenever
-    # the key space allows.
-    key = links * num_cols + positions
-    if num_rows * num_cols < np.iinfo(np.int32).max:
-        key = key.astype(np.int32)
-    return np.argsort(key, kind="stable")
+    matrix = sparse.coo_matrix(
+        (np.arange(links.shape[0], dtype=np.intp), (links, positions)),
+        shape=(num_rows, num_cols),
+    ).tocsr()
+    matrix.sort_indices()
+    return matrix.data
 
 
 def _padded_prefix_into(
@@ -1035,16 +1011,16 @@ def _rollup(
     delay_factors: np.ndarray,
     agg_ids: np.ndarray,
     agg_flows: np.ndarray,
-    agg_weights: np.ndarray,
-) -> List[float]:
-    """Weighted network utility of each row of a (blocks x columns) solution.
+) -> np.ndarray:
+    """Per-aggregate utilities of each row of a (blocks x columns) solution.
 
     Per-flow bandwidth utility times the per-path delay factor,
-    flow-weighted per aggregate (clamped to 1), then averaged with the
-    aggregate weights.  A column with zero flows adds exactly 0.0 (its
-    per-flow rate is set to 0, never 0/0).  Every step is elementwise or
-    a per-(row, aggregate) ``bincount`` in column order, and the final dot
-    product runs once per row, so a row scores bitwise as it would alone.
+    flow-weighted per aggregate and clamped to 1 (0 for an aggregate with no
+    flows).  A column with zero flows adds exactly 0.0 (its per-flow rate is
+    set to 0, never 0/0).  Every step is elementwise or a per-(row,
+    aggregate) ``bincount`` in column order — the order and operations of
+    :func:`~repro.trafficmodel.waterfill.reference_aggregate_utilities` — so
+    every value is bitwise that walk's, and a row's as it would be alone.
     """
     num_rows = rates.shape[0]
     num_aggs = agg_flows.shape[0]
@@ -1064,9 +1040,19 @@ def _rollup(
     ).reshape(num_rows, num_aggs)
     with np.errstate(divide="ignore", invalid="ignore"):
         agg_utilities = np.where(agg_flows > 0.0, weighted / agg_flows, 0.0)
-    agg_utilities = np.minimum(agg_utilities, 1.0)
-    total_weight = agg_weights.sum()
-    return [float(np.dot(agg_weights, row) / total_weight) for row in agg_utilities]
+    return np.minimum(agg_utilities, 1.0)
+
+
+def _weighted_means(agg_utilities: np.ndarray, agg_weights: np.ndarray) -> List[float]:
+    """Each row's aggregate utilities averaged with the aggregate weights.
+
+    Summed strictly in aggregate order (``np.cumsum``), as
+    :func:`~repro.utility.aggregation.network_utility` sums the result's
+    per-aggregate utilities.  An aggregate with no flows adds exactly 0.0.
+    """
+    numerators = np.cumsum(agg_weights * agg_utilities, axis=1)[:, -1]
+    total_weight = np.cumsum(agg_weights)[-1]
+    return [float(numerator / total_weight) for numerator in numerators]
 
 
 def _aggregate_weights(
@@ -1174,7 +1160,6 @@ class CompiledTrafficModel:
             demands=demands,
             growth=growth,
             flows=flows,
-            incidence=None,
             agg_ids=agg_ids,
             aggregates=aggregates,
             agg_index=agg_index,
@@ -1262,10 +1247,6 @@ class CompiledTrafficModel:
                 demands=demands,
                 growth=growth,
                 flows=flows,
-                # A changed row keeps its (key, path), hence its column of
-                # the incidence matrix — the base's (possibly unbuilt) dense
-                # matrix stays valid as-is.
-                incidence=base._incidence,
                 agg_ids=base.agg_ids,
                 aggregates=base.aggregates,
                 agg_index=base.agg_index,
@@ -1336,7 +1317,6 @@ class CompiledTrafficModel:
             flows=np.concatenate(
                 [flows[keep], [float(b.num_flows) for b in additions]]
             ),
-            incidence=None,
             agg_ids=np.concatenate(
                 [base.agg_ids[keep], np.asarray(added_agg_ids, dtype=np.intp)]
             ),
@@ -1443,23 +1423,17 @@ class CompiledTrafficModel:
     ) -> float:
         """The weighted network utility of a solution, without result objects.
 
-        Vectorizes exactly the roll-up
+        The roll-up :meth:`result_of` gives a result, averaged with priority
+        weights in aggregate order: for a compiled (unpatched) bundle list it
+        equals that result's
         :meth:`~repro.trafficmodel.result.TrafficModelResult.network_utility`
-        performs: per-flow bandwidth utility times the cached per-path delay
-        factor, flow-weighted per aggregate (clamped to 1), then averaged with
-        priority weights.  Assumes aggregate keys are unique within the
-        bundle list, as they are in any state derived from a traffic matrix.
+        bit for bit.  Assumes aggregate keys are unique within the bundle
+        list, as they are in any state derived from a traffic matrix.
         """
         if len(compiled) == 0:
             raise TrafficModelError("cannot score an empty bundle list")
-        return _rollup(
-            rates[None, :],
-            compiled.flows[None, :],
-            compiled.comp_ids[None, :],
-            compiled.components,
-            compiled.delay_factors[None, :],
-            compiled.agg_ids[None, :],
-            compiled.agg_flows,
+        return _weighted_means(
+            compiled.rollup(rates)[None, :],
             _aggregate_weights(compiled, weights),
         )[0]
 
@@ -1468,7 +1442,12 @@ class CompiledTrafficModel:
     def result_of(
         self, compiled: CompiledBundles, solution: _Solution
     ) -> TrafficModelResult:
-        """Assemble the full :class:`TrafficModelResult` for a solution."""
+        """Assemble the full :class:`TrafficModelResult` for a solution.
+
+        The result carries *compiled* and the solved rates, and its
+        per-aggregate utilities in order of each aggregate's first bundle
+        (an aggregate a patch left without bundles is left out).
+        """
         rates = solution.rates
         # bincount accumulates in a fixed order, making the reported loads
         # independent of array alignment (unlike a BLAS matrix product), so
@@ -1481,23 +1460,38 @@ class CompiledTrafficModel:
             flat, weights=np.repeat(compiled.demands, counts), minlength=self._num_links
         )
         network = self.network
-        outcomes = []
-        for j, bundle in enumerate(compiled.bundles):
-            satisfied = bool(rates[j] >= compiled.demands[j] * (1.0 - _REL_EPS))
-            link_index = solution.bottleneck[j]
-            outcomes.append(
-                BundleOutcome(
-                    bundle=bundle,
-                    rate_bps=float(rates[j]),
-                    satisfied=satisfied,
-                    bottleneck_link=(
-                        None
-                        if satisfied or link_index < 0
-                        else network.link_by_index(int(link_index)).link_id
-                    ),
-                )
+        satisfied = rates >= compiled.demands * (1.0 - _REL_EPS)
+        outcomes = [
+            BundleOutcome(
+                bundle=bundle,
+                rate_bps=rate,
+                satisfied=met,
+                bottleneck_link=(
+                    None if met or link_index < 0 else network.link_by_index(link_index).link_id
+                ),
             )
-        return TrafficModelResult(network, outcomes, link_loads, link_demands)
+            for bundle, rate, met, link_index in zip(
+                compiled.bundles,
+                rates.tolist(),
+                satisfied.tolist(),
+                solution.bottleneck.tolist(),
+            )
+        ]
+        values = compiled.rollup(rates).tolist()
+        agg_flows = compiled.agg_flows.tolist()
+        present, first = np.unique(compiled.agg_ids, return_index=True)
+        utilities = [
+            AggregateUtility(
+                aggregate_key=compiled.aggregates[agg_id].key,
+                utility=values[agg_id],
+                num_flows=int(agg_flows[agg_id]),
+                traffic_class=compiled.aggregates[agg_id].traffic_class,
+            )
+            for agg_id in present[np.argsort(first)].tolist()
+        ]
+        return TrafficModelResult(
+            network, outcomes, link_loads, link_demands, utilities, compiled, rates
+        )
 
     # ------------------------------------------------------------ evaluation
 
@@ -1658,7 +1652,7 @@ class BatchedCandidateScorer:
             # A move keeps its aggregate's flow total, so every candidate's
             # per-aggregate flows (sums of integers, exact in any order) and
             # weights are the base's.
-            scores.extend(_rollup(*chunk, base.agg_flows, agg_weights))
+            scores.extend(_weighted_means(_rollup(*chunk, base.agg_flows), agg_weights))
         return scores
 
     def _solve_chunk(self, moves: Sequence[_Move]) -> _ChunkColumns:

@@ -3,13 +3,16 @@
 A :class:`TrafficModelResult` bundles everything the optimizer and the
 metrics code need from one run of the progressive-filling model: per-bundle
 achieved rates, per-link loads and demands, the set of congested links, and
-utility roll-ups (per aggregate, per class, network-wide).
+utility roll-ups (per aggregate, per class, network-wide).  The model run
+that builds the result rolls up its per-aggregate utilities once; a result
+of the compiled engine also carries the compiled bundle list and the rates
+it solved, so the optimizer scores candidate moves against them directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +27,9 @@ from repro.utility.aggregation import (
     network_utility,
     per_class_utilities,
 )
+
+if TYPE_CHECKING:
+    from repro.trafficmodel.compiled import CompiledBundles
 
 #: Relative tolerance used when deciding whether a link is saturated.
 SATURATION_TOLERANCE = 1e-6
@@ -43,14 +49,13 @@ class BundleOutcome:
         """Bandwidth one flow of the bundle receives."""
         return self.rate_bps / self.bundle.num_flows
 
-    @property
-    def unmet_demand_bps(self) -> float:
-        """Demand the bundle did not receive (zero when satisfied)."""
-        return max(self.bundle.total_demand_bps - self.rate_bps, 0.0)
-
 
 class TrafficModelResult:
-    """Everything produced by one evaluation of the traffic model."""
+    """Everything produced by one evaluation of the traffic model.
+
+    ``compiled`` and ``rates`` are the compiled bundle list and per-bundle
+    rates the compiled engine solved (``None`` from ``reference_evaluate``).
+    """
 
     def __init__(
         self,
@@ -58,6 +63,9 @@ class TrafficModelResult:
         outcomes: Sequence[BundleOutcome],
         link_loads_bps: np.ndarray,
         link_demands_bps: np.ndarray,
+        aggregate_utilities: Sequence[AggregateUtility],
+        compiled: Optional["CompiledBundles"] = None,
+        rates: Optional[np.ndarray] = None,
     ) -> None:
         if link_loads_bps.shape != (network.num_links,):
             raise TrafficModelError(
@@ -73,28 +81,27 @@ class TrafficModelResult:
         self.outcomes: Tuple[BundleOutcome, ...] = tuple(outcomes)
         self.link_loads_bps = link_loads_bps
         self.link_demands_bps = link_demands_bps
+        self.compiled = compiled
+        self.rates = rates
+        self._aggregate_utilities = tuple(aggregate_utilities)
         self._capacities = np.asarray(network.capacities(), dtype=float)
         self._congested: Optional[Tuple[LinkId, ...]] = None
         self._by_aggregate: Optional[Dict[AggregateKey, List[BundleOutcome]]] = None
-        self._aggregate_utilities: Optional[Tuple[AggregateUtility, ...]] = None
 
     # ------------------------------------------------------------- congestion
 
     def _compute_congested(self) -> Tuple[LinkId, ...]:
         saturated = self.link_loads_bps >= self._capacities * (1.0 - SATURATION_TOLERANCE)
-        congested: List[LinkId] = []
-        for link in self.network.links:
-            if not saturated[link.index]:
-                continue
-            # A saturated link is only *congested* if it actually truncates
-            # some bundle's demand (paper §2.3).
-            truncates = any(
-                not outcome.satisfied and outcome.bottleneck_link == link.link_id
-                for outcome in self.outcomes
-            )
-            if truncates:
-                congested.append(link.link_id)
-        return tuple(congested)
+        # A saturated link is only *congested* if it actually truncates some
+        # bundle's demand (paper §2.3).
+        truncating = {
+            outcome.bottleneck_link for outcome in self.outcomes if not outcome.satisfied
+        }
+        return tuple(
+            link.link_id
+            for link in self.network.links
+            if saturated[link.index] and link.link_id in truncating
+        )
 
     @property
     def congested_links(self) -> Tuple[LinkId, ...]:
@@ -118,11 +125,6 @@ class TrafficModelResult:
         return tuple(
             sorted(self.congested_links, key=self.oversubscription, reverse=True)
         )
-
-    def utilization(self, link_id: LinkId) -> float:
-        """Carried load divided by capacity for one link."""
-        link = self.network.link_by_id(link_id)
-        return float(self.link_loads_bps[link.index] / link.capacity_bps)
 
     # --------------------------------------------------------------- bundles
 
@@ -165,38 +167,12 @@ class TrafficModelResult:
 
         A bundle's utility is the utility of one of its flows: the bandwidth
         component evaluated at the per-flow rate times the delay component
-        evaluated at the bundle's path delay.
-
-        The roll-up runs once per result (outcomes and network never change
-        after construction) and is shared by :meth:`network_utility`,
-        :meth:`class_utility` and :meth:`per_class_utilities`; each call
-        returns a fresh list, so callers may mutate it.
+        evaluated at the bundle's path delay.  The model run rolled these up
+        when it built the result; :meth:`network_utility`,
+        :meth:`class_utility` and :meth:`per_class_utilities` share them.
+        Each call returns a fresh list, so callers may mutate it.
         """
-        if self._aggregate_utilities is None:
-            self._aggregate_utilities = tuple(self._roll_up())
         return list(self._aggregate_utilities)
-
-    def _roll_up(self) -> List[AggregateUtility]:
-        utilities: List[AggregateUtility] = []
-        for key, outcomes in self.outcomes_by_aggregate().items():
-            aggregate = outcomes[0].bundle.aggregate
-            total_flows = sum(outcome.bundle.num_flows for outcome in outcomes)
-            weighted = 0.0
-            for outcome in outcomes:
-                utility = aggregate.utility(
-                    outcome.per_flow_rate_bps,
-                    outcome.bundle.path_delay(self.network),
-                )
-                weighted += outcome.bundle.num_flows * utility
-            utilities.append(
-                AggregateUtility(
-                    aggregate_key=key,
-                    utility=min(weighted / total_flows, 1.0),
-                    num_flows=total_flows,
-                    traffic_class=aggregate.traffic_class,
-                )
-            )
-        return utilities
 
     def network_utility(self, weights: Optional[PriorityWeights] = None) -> float:
         """The paper's "total average" utility (optionally priority-weighted)."""

@@ -15,8 +15,9 @@ Two implementations live side by side:
   Per step it computes the time until the next bundle satisfies its demand or
   the next link saturates, advances every active bundle by that time, and
   freezes whatever the event stopped: at most (#bundles + #links) events.
-  It rebuilds everything from the network graph on each call and is kept as
-  the ground truth the fast engine is tested against.
+  It rebuilds everything from the network graph on each call, rolls up the
+  utilities one outcome at a time (:func:`reference_aggregate_utilities`),
+  and is kept as the ground truth the fast engine is tested against.
 * :class:`~repro.trafficmodel.compiled.CompiledTrafficModel` — the
   compiled/incremental engine the optimizer actually runs.  It caches
   per-(aggregate, path) rows, patches only the rows a candidate move changes,
@@ -29,14 +30,16 @@ Two implementations live side by side:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import TrafficModelError
 from repro.topology.graph import Network
+from repro.traffic.aggregate import AggregateKey
 from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.result import BundleOutcome, TrafficModelResult
+from repro.utility.aggregation import AggregateUtility
 
 if TYPE_CHECKING:
     from repro.trafficmodel.compiled import CompiledModelCache, CompiledTrafficModel
@@ -94,7 +97,7 @@ def reference_evaluate(
 
     if num_bundles == 0:
         zeros = np.zeros(num_links, dtype=float)
-        return TrafficModelResult(network, [], zeros, zeros.copy())
+        return TrafficModelResult(network, [], zeros, zeros.copy(), [])
 
     demands = np.empty(num_bundles, dtype=float)
     growth = np.empty(num_bundles, dtype=float)
@@ -189,7 +192,33 @@ def reference_evaluate(
                 bottleneck_link=None if satisfied else bottleneck[j],
             )
         )
-    return TrafficModelResult(network, outcomes, link_loads, link_demands)
+    utilities = reference_aggregate_utilities(network, outcomes)
+    return TrafficModelResult(network, outcomes, link_loads, link_demands, utilities)
+
+
+def reference_aggregate_utilities(
+    network: Network, outcomes: Sequence[BundleOutcome]
+) -> List[AggregateUtility]:
+    """Each aggregate's flow-weighted mean per-flow utility (clamped to 1),
+    in order of its first outcome, rolled up one outcome at a time: the
+    specification of the compiled engine's vectorized roll-up."""
+    grouped: Dict[AggregateKey, List[BundleOutcome]] = {}
+    for outcome in outcomes:
+        grouped.setdefault(outcome.bundle.aggregate_key, []).append(outcome)
+    utilities: List[AggregateUtility] = []
+    for key, members in grouped.items():
+        aggregate = members[0].bundle.aggregate
+        total_flows = sum(outcome.bundle.num_flows for outcome in members)
+        weighted = 0.0
+        for outcome in members:
+            delay_s = outcome.bundle.path_delay(network)
+            utility = aggregate.utility(outcome.per_flow_rate_bps, delay_s)
+            weighted += outcome.bundle.num_flows * utility
+        mean = min(weighted / total_flows, 1.0)
+        utilities.append(
+            AggregateUtility(key, mean, total_flows, aggregate.traffic_class)
+        )
+    return utilities
 
 
 class TrafficModel:

@@ -324,7 +324,7 @@ def test_optimizer_selects_identical_moves(name):
             assert BatchedCandidateScorer(engine, base, weights).score(deltas) == scores
             step = perform_step(
                 link_id, state, path_sets, model, generator, config, result,
-                escalation, compiled_base=base,
+                escalation,
             )
             assert step.progress == any(score > threshold for score in scores)
             if step.progress:

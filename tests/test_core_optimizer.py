@@ -1,5 +1,7 @@
 """Tests for the FUBAR optimizer: step, main loop, routing output and controller."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import FubarConfig
@@ -15,11 +17,13 @@ from repro.core.routing import RoutingTable
 from repro.core.state import AllocationState, build_path_sets
 from repro.core.step import flows_to_move, perform_step
 from repro.exceptions import AllocationError, OptimizationError
+from repro.experiments.scenarios import build_paper_scenario
 from repro.paths.generator import PathGenerator
 from repro.topology.builders import line_topology, ring_topology, triangle_topology
 from repro.traffic.classes import LARGE_TRANSFER
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.waterfill import TrafficModel
+from repro.trafficmodel.compiled import CompiledTrafficModel
+from repro.trafficmodel.waterfill import TrafficModel, reference_evaluate
 from repro.units import kbps, mbps
 from repro.utility.aggregation import PriorityWeights
 from tests.conftest import make_aggregate
@@ -104,6 +108,20 @@ class TestPerformStep:
         assert step.state is state
         assert step.describe().startswith("no improving move")
 
+    def test_step_needs_a_compiled_result(self, congested_triangle):
+        """Moves are scored against the compiled list a result carries; a
+        result of the reference implementation carries none."""
+        network, matrix = congested_triangle
+        generator = PathGenerator(network)
+        state = AllocationState.initial(network, matrix, generator)
+        result = reference_evaluate(network, state.bundles())
+        assert result.compiled is None
+        with pytest.raises(OptimizationError):
+            perform_step(
+                result.congested_links[0], state, build_path_sets(network, state),
+                TrafficModel(network), generator, FubarConfig(), result,
+            )
+
 
 class TestOptimizerRuns:
     def test_triangle_congestion_is_fully_alleviated(self, congested_triangle):
@@ -153,6 +171,25 @@ class TestOptimizerRuns:
         assert result.num_steps <= 1
         if result.has_congestion:
             assert result.termination_reason == TERMINATED_STEP_LIMIT
+
+    @pytest.mark.parametrize("max_steps", [1, 3])
+    def test_one_compile_per_evaluated_state(self, monkeypatch, max_steps):
+        """Each step scores its moves against the compiled list the current
+        result carries, so a run compiles once per evaluated state: the
+        start and each committed step."""
+        scenario = build_paper_scenario(seed=0, num_pops=8)
+        compile_bundles = CompiledTrafficModel.compile
+        compiles = []
+
+        def counting_compile(engine, bundles):
+            compiles.append(len(bundles))
+            return compile_bundles(engine, bundles)
+
+        monkeypatch.setattr(CompiledTrafficModel, "compile", counting_compile)
+        config = replace(scenario.fubar_config, max_steps=max_steps)
+        result = FubarOptimizer(scenario.network, scenario.traffic_matrix, config).run()
+        assert result.num_steps == max_steps
+        assert len(compiles) == 1 + max_steps
 
     def test_ring_splits_aggregate_over_both_directions(self):
         network = ring_topology(4, capacity_bps=mbps(10))

@@ -17,20 +17,29 @@ Plus regression tests for the satellite bugfixes: per-run model-evaluation
 counts, non-simple bundle paths, and the n/a improvement-over-shortest-path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.optimizer import FubarOptimizer
+from repro.core.state import AllocationState
 from repro.exceptions import TrafficModelError
+from repro.experiments.scenarios import build_paper_scenario
+from repro.topology.builders import triangle_topology
 from repro.topology.graph import Network
 from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.compiled import CompiledTrafficModel
 from repro.trafficmodel.waterfill import (
     TrafficModel,
     TrafficModelConfig,
+    reference_aggregate_utilities,
     reference_evaluate,
 )
 from repro.traffic.aggregate import Aggregate
+from repro.traffic.classes import LARGE_TRANSFER
 from repro.units import kbps, mbps, ms
+from repro.utility.aggregation import PriorityWeights
 from repro.utility.components import BandwidthComponent, DelayComponent
 from repro.utility.functions import UtilityFunction
 from tests.conftest import make_aggregate
@@ -428,6 +437,99 @@ class TestCapacityOverride:
         compiled = engine.compile(bundles)
         with pytest.raises(TrafficModelError):
             engine.solve(compiled, capacities=np.ones(network.num_links + 1))
+
+
+# ------------------------------------------------------------ one roll-up
+
+
+def he8_states():
+    """HE-8 bundle lists, provisioned and not: the shortest-path start and
+    a four-step optimized state (whose aggregates span several paths)."""
+    states = []
+    for provisioned in (True, False):
+        scenario = build_paper_scenario(provisioned=provisioned, seed=0, num_pops=8)
+        config = replace(scenario.fubar_config, max_steps=4)
+        optimized = FubarOptimizer(
+            scenario.network, scenario.traffic_matrix, config
+        ).run()
+        initial = AllocationState.initial(scenario.network, scenario.traffic_matrix)
+        states.append((scenario.network, initial.bundles()))
+        states.append((scenario.network, optimized.state.bundles()))
+    return states
+
+
+class TestOneRollUp:
+    """Every result's utilities come from the engine's one vectorized roll-up,
+    equal to the reference per-outcome walk, and a score of the same solution
+    equals the result's network utility bit for bit."""
+
+    WEIGHTS = [None, PriorityWeights.prioritize(LARGE_TRANSFER, 16)]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_scenarios_roll_up_like_the_reference(self, seed):
+        network, bundles = random_scenario(seed)
+        result = CompiledTrafficModel(network).evaluate(bundles)
+        expected = reference_aggregate_utilities(network, result.outcomes)
+        assert result.aggregate_utilities() == expected
+
+    def test_he8_rolls_up_like_the_reference(self):
+        for network, bundles in he8_states():
+            result = CompiledTrafficModel(network).evaluate(bundles)
+            expected = reference_aggregate_utilities(network, result.outcomes)
+            assert result.aggregate_utilities() == expected
+
+    def test_patched_result_lists_aggregates_by_first_bundle(self):
+        """Dropping an aggregate's first bundle moves it behind one that
+        starts later in the base; an aggregate left without bundles is left
+        out."""
+        network = triangle_topology(capacity_bps=mbps(1))
+        x, y, z = (make_aggregate(*pair) for pair in ("AB", "AC", "BC"))
+        bundles = [
+            Bundle(aggregate=x, path=("A", "B"), num_flows=10),
+            Bundle(aggregate=y, path=("A", "C"), num_flows=10),
+            Bundle(aggregate=x, path=("A", "C", "B"), num_flows=10),
+            Bundle(aggregate=z, path=("B", "C"), num_flows=10),
+        ]
+        engine = CompiledTrafficModel(network)
+        patch = {(b.aggregate_key, b.path): None for b in bundles[::3]}
+        result = patched_result(engine, engine.compile(bundles), patch)
+        utilities = result.aggregate_utilities()
+        assert [u.aggregate_key for u in utilities] == [y.key, x.key]
+        assert utilities == reference_aggregate_utilities(network, result.outcomes)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weighted_utility_is_the_results_network_utility(self, seed):
+        network, bundles = random_scenario(seed)
+        self._assert_scores_match(CompiledTrafficModel(network), bundles)
+
+    @pytest.mark.parametrize("num_pops", [8, 31])
+    def test_weighted_utility_is_the_results_network_utility_on_he(self, num_pops):
+        for provisioned in (True, False):
+            scenario = build_paper_scenario(
+                provisioned=provisioned, seed=0, num_pops=num_pops
+            )
+            state = AllocationState.initial(scenario.network, scenario.traffic_matrix)
+            self._assert_scores_match(
+                CompiledTrafficModel(scenario.network), state.bundles()
+            )
+
+    def test_result_carries_its_compiled_solve(self):
+        network, bundles = random_scenario(3)
+        engine = CompiledTrafficModel(network)
+        compiled = engine.compile(bundles)
+        solution = engine.solve(compiled)
+        result = engine.result_of(compiled, solution)
+        assert result.compiled is compiled
+        assert result.rates is solution.rates
+        assert list(result.rates) == [o.rate_bps for o in result.outcomes]
+
+    def _assert_scores_match(self, engine, bundles):
+        compiled = engine.compile(bundles)
+        solution = engine.solve(compiled)
+        result = engine.result_of(compiled, solution)
+        for weights in self.WEIGHTS:
+            score = engine.weighted_utility(compiled, solution.rates, weights)
+            assert score == result.network_utility(weights)  # exact
 
 
 # ------------------------------------------------------------------ regressions
