@@ -1,30 +1,29 @@
-"""Scaling benchmark — batched candidate scoring vs per-move solves (ISSUE 6).
+"""Scaling benchmark — the candidate scorer's cost per move vs topology size.
 
 The optimizer's inner loop scores every candidate move of a congested link;
 at internet scale that scoring dominates wall clock.  This benchmark builds
 the hot-path workload exactly as :func:`repro.core.step._best_move` does —
-one compiled base, one ``move_delta`` patch per candidate — and times two
-ways of scoring it against each other on tiered hierarchical topologies of
-increasing size:
+one compiled base, one ``move_delta`` patch per candidate — and times one
+:class:`~repro.trafficmodel.compiled.BatchedCandidateScorer` scoring it, as
+the optimizer does, on tiered hierarchical topologies of increasing size.
 
-* **per-move** — ``compile_patched`` + ``solve`` + ``weighted_utility`` per
-  candidate (the oracle ``tests/test_batched_scorer.py`` checks the
-  optimizer's moves against), and
-* **batched** — one :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer`
-  scoring the same candidates, as the optimizer does: chunks of candidates
-  solved in lockstep in the base's index space, with no per-candidate
-  compile, sort or CSR build.
+The headline is the scorer's *calibrated* milliseconds per scored
+candidate: its median wall clock per candidate divided by the median time
+of :func:`benchmarks.conftest.calibration_kernel`, timed alternately in the
+same process, so the record moves with the code more than with the host.
+Lower is better.
 
-The two paths are *bitwise* equivalent (see
-``tests/test_batched_scorer.py``), so the benchmark hard-fails on any score
-drift — the recorded ``drift`` is the count of candidates whose scores
-differ at all, and must be zero.  Regenerate the committed record with:
+Every score must be *bitwise* the network utility of a full evaluation of
+the moved state (the oracle ``tests/test_batched_scorer.py`` holds the
+scorer to), so the benchmark hard-fails on any score drift — the recorded
+``drift`` is the count of candidates whose scores differ at all, and must
+be zero.  Regenerate the committed record with:
 
     PYTHONPATH=src python -m benchmarks.bench_scale --output BENCH_scale.json
 
-The pytest entry point is the CI bench-smoke scale gate: on the 200-node
-tiered seed the batched scorer must reach >= 3x the per-move evals/sec with
-zero drift.
+The pytest entry point is the CI bench-smoke scale gate: zero drift on the
+200-node tiered seed.  Timing is recorded, not gated there; the perf budget
+gates the committed record.
 """
 
 from __future__ import annotations
@@ -32,16 +31,18 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from benchmarks.conftest import BENCH_SEED, print_header, run_once
+from benchmarks.conftest import BENCH_SEED, calibrated_ms, print_header, run_once
+from repro.core.config import FubarConfig
 from repro.core.state import AllocationState, build_path_sets
 from repro.core.step import _candidate_moves
 from repro.experiments.tiered import build_tiered_scenario
 from repro.metrics.reporting import format_table
 from repro.paths.generator import PathGenerator
+from repro.topology.graph import Network
+from repro.traffic.matrix import TrafficMatrix
 from repro.trafficmodel.compiled import BatchedCandidateScorer
 from repro.trafficmodel.waterfill import TrafficModel
 
@@ -49,7 +50,7 @@ from repro.trafficmodel.waterfill import TrafficModel
 BENCH_JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_scale.json"
 
 #: Schema version of BENCH_scale.json.
-BENCH_SCHEMA = 1
+BENCH_SCHEMA = 2
 
 #: Node counts measured by default (all tiered-continental, one seed).
 #: Smaller tiered instances are well provisioned — congested links exist but
@@ -57,176 +58,139 @@ BENCH_SCHEMA = 1
 #: starts where candidate scoring actually has work to batch.
 DEFAULT_NODE_COUNTS = (200, 400, 800)
 
-#: The CI gate: batched evals/sec over per-move evals/sec at 200 nodes.
+#: The CI drift gate's topology size.
 GATE_NODE_COUNT = 200
-GATE_MIN_SPEEDUP = 3.0
 
 
 def build_scoring_workload(
-    num_nodes: int, seed: int = BENCH_SEED, size: str = "continental"
+    network: Network, traffic_matrix: TrafficMatrix, config: FubarConfig
 ) -> Dict:
-    """The hot-path inputs of one optimizer step on a tiered topology.
+    """The hot-path inputs of one optimizer step.
 
-    Mirrors ``_best_move``: evaluate the initial allocation,
-    take the most congested link, enumerate its candidate moves, and turn
-    each into the ``move_delta`` patch the scorer consumes.
+    Mirrors ``_best_move``: evaluate the initial allocation, take the first
+    congested link that yields candidate moves (small topologies can have
+    congested links whose bundles have nowhere to go), and turn each move
+    into the ``move_delta`` patch the scorer consumes.
     """
-    scenario = build_tiered_scenario(
-        size=size, num_nodes=num_nodes, seed=seed, max_steps=6
-    )
-    network = scenario.network
-    config = scenario.fubar_config
     generator = PathGenerator(network)
-    state = AllocationState.initial(
-        network, scenario.traffic_matrix, generator
-    )
+    state = AllocationState.initial(network, traffic_matrix, generator)
     model = TrafficModel(network)
     result = model.evaluate(state.bundles())
     path_sets = build_path_sets(network, state)
-    # The first congested link that actually yields candidate moves (small
-    # topologies can have congested links whose bundles have nowhere to go).
-    deltas: List = []
-    link_id = None
-    for candidate_link in result.congested_links:
-        deltas = [
-            state.move_delta(
-                bundle.aggregate_key, bundle.path, candidate, num_to_move
-            )
+    for link_id in result.congested_links:
+        moves = [
+            (bundle.aggregate_key, bundle.path, candidate, num_to_move)
             for bundle, candidate, num_to_move in _candidate_moves(
-                candidate_link, state, path_sets, generator, config, result, 0
+                link_id, state, path_sets, generator, config, result, 0
             )
         ]
-        if deltas:
-            link_id = candidate_link
+        if moves:
             break
-    if not deltas:
+    else:
         raise RuntimeError(
-            f"tiered scenario ({num_nodes} nodes, seed {seed}) yields no "
-            "candidate moves on any congested link; pick a different seed"
+            f"{network.name} yields no candidate moves on any congested link; "
+            "pick a different seed"
         )
-    engine = model.engine
     return {
-        "scenario": scenario,
-        "network": network,
-        "config": config,
-        "engine": engine,
-        "compiled_base": engine.compile(state.bundles()),
-        "deltas": deltas,
-        "link_id": link_id,
+        "weights": config.priority_weights,
+        "model": model,
+        "state": state,
+        "compiled_base": result.compiled,
+        "moves": moves,
+        "deltas": [state.move_delta(*move) for move in moves],
     }
 
 
-def _score_per_move(workload: Dict) -> List[float]:
-    engine = workload["engine"]
-    base = workload["compiled_base"]
-    weights = workload["config"].priority_weights
-    scores: List[float] = []
-    for delta in workload["deltas"]:
-        patched = engine.compile_patched(base, delta)
-        solution = engine.solve(patched)
-        scores.append(engine.weighted_utility(patched, solution.rates, weights))
-    return scores
-
-
-def _score_batched(workload: Dict) -> List[float]:
+def score_batched(workload: Dict) -> List[float]:
+    """Score every candidate as the optimizer does: one fresh scorer."""
     scorer = BatchedCandidateScorer(
-        workload["engine"],
-        workload["compiled_base"],
-        workload["config"].priority_weights,
+        workload["model"].engine, workload["compiled_base"], workload["weights"]
     )
     return scorer.score(workload["deltas"])
 
 
-def _best_of_interleaved(workload: Dict, reps: int) -> tuple:
-    """Best-of-*reps* wall clock of each scoring pass, interleaved.
+def moved_state_scores(workload: Dict) -> List[float]:
+    """The oracle: each candidate's network utility from a full evaluation
+    of the moved state."""
+    model, state, weights = workload["model"], workload["state"], workload["weights"]
+    return [
+        model.evaluate(state.with_move(*move).bundles()).network_utility(weights)
+        for move in workload["moves"]
+    ]
 
-    Alternating the two measurements inside every repetition means machine
-    load that drifts over the run hits both paths equally, keeping the
-    reported *ratio* stable even when absolute timings wander.
+
+def measure_scoring(workload: Dict) -> Dict:
+    """Check the scorer against the oracle and time it, calibrated.
+
+    ``drift`` counts the candidates whose scores differ from the oracle at
+    all (bitwise).
     """
-    best_per_move = best_batched = float("inf")
-    for _ in range(reps):
-        started = time.perf_counter()
-        _score_per_move(workload)
-        best_per_move = min(best_per_move, time.perf_counter() - started)
-        started = time.perf_counter()
-        _score_batched(workload)
-        best_batched = min(best_batched, time.perf_counter() - started)
-    return best_per_move, best_batched
-
-
-def measure_hot_path(
-    num_nodes: int, seed: int = BENCH_SEED, reps: int = 5
-) -> Dict:
-    """Time both scoring paths on one tiered topology and check for drift."""
-    workload = build_scoring_workload(num_nodes, seed=seed)
-    num_candidates = len(workload["deltas"])
-
-    per_move_scores = _score_per_move(workload)
-    batched_scores = _score_batched(workload)
-    # Bitwise: any difference at all counts as drift.
-    drift = sum(
-        1 for a, b in zip(per_move_scores, batched_scores) if a != b
-    ) + abs(len(per_move_scores) - len(batched_scores))
-
-    per_move_s, batched_s = _best_of_interleaved(workload, reps)
+    num_candidates = len(workload["moves"])
+    scores = score_batched(workload)
+    drift = sum(1 for a, b in zip(scores, moved_state_scores(workload)) if a != b)
+    scorer_ms, kernel_ms = calibrated_ms(lambda: score_batched(workload))
+    ms_per_candidate = scorer_ms / num_candidates
     return {
-        "num_nodes": num_nodes,
-        "actual_nodes": len(workload["network"].node_names),
-        "num_links": len(workload["network"].links),
         "num_candidates": num_candidates,
-        "seed": seed,
-        "per_move_ms": per_move_s * 1e3,
-        "batched_ms": batched_s * 1e3,
-        "per_move_evals_per_s": num_candidates / per_move_s,
-        "batched_evals_per_s": num_candidates / batched_s,
-        "speedup": per_move_s / batched_s if batched_s > 0 else None,
+        "scorer_ms": scorer_ms,
+        "ms_per_candidate": ms_per_candidate,
+        "calibration_ms": kernel_ms,
+        "calibrated_ms_per_candidate": ms_per_candidate / kernel_ms,
         "drift": drift,
     }
 
 
+def measure_hot_path(num_nodes: int, seed: int = BENCH_SEED) -> Dict:
+    """Score one tiered topology's hot step, timed and checked for drift."""
+    scenario = build_tiered_scenario(
+        size="continental", num_nodes=num_nodes, seed=seed, max_steps=6
+    )
+    network = scenario.network
+    workload = build_scoring_workload(
+        network, scenario.traffic_matrix, scenario.fubar_config
+    )
+    return {
+        "num_nodes": num_nodes,
+        "actual_nodes": len(network.node_names),
+        "num_links": len(network.links),
+        "seed": seed,
+        **measure_scoring(workload),
+    }
+
+
 def measure_scale(
-    node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
-    seed: int = BENCH_SEED,
-    reps: int = 5,
+    node_counts: Sequence[int] = DEFAULT_NODE_COUNTS, seed: int = BENCH_SEED
 ) -> Dict:
-    """The full BENCH_scale.json record: evals/sec vs node count."""
+    """The full BENCH_scale.json record: scorer cost vs node count."""
     return {
         "schema": BENCH_SCHEMA,
         "seed": seed,
-        "reps": reps,
         "platform": {
             "python": platform.python_version(),
             "machine": platform.machine(),
             "system": platform.system(),
         },
-        "gate": {
-            "node_count": GATE_NODE_COUNT,
-            "min_speedup": GATE_MIN_SPEEDUP,
-        },
-        "points": [
-            measure_hot_path(n, seed=seed, reps=reps) for n in node_counts
-        ],
+        "points": [measure_hot_path(n, seed=seed) for n in node_counts],
     }
 
 
 def _print_record(record: Dict) -> None:
-    print_header("Batched candidate scoring vs per-move solves (tiered)")
+    print_header("Batched candidate scoring vs topology size (tiered)")
     rows = [
         (
             point["actual_nodes"],
             point["num_links"],
             point["num_candidates"],
-            f"{point['per_move_evals_per_s']:.0f}",
-            f"{point['batched_evals_per_s']:.0f}",
-            f"{point['speedup']:.2f}x",
+            f"{point['ms_per_candidate']:.3f}",
+            f"{point['calibration_ms']:.2f}",
+            f"{point['calibrated_ms_per_candidate']:.4f}",
             point["drift"],
         )
         for point in record["points"]
     ]
     print(
         format_table(
-            ("nodes", "links", "cands", "per-move ev/s", "batched ev/s", "speedup", "drift"),
+            ("nodes", "links", "cands", "ms/cand", "kernel ms", "calibrated", "drift"),
             rows,
         )
     )
@@ -236,33 +200,13 @@ def _print_record(record: Dict) -> None:
 
 
 def test_batched_scorer_scale_gate(benchmark):
-    """CI bench-smoke gate: >= 3x evals/sec at 200 nodes, zero drift.
-
-    Drift is a hard zero — any attempt observing it fails immediately.  The
-    timing ratio gets up to three attempts (best-of-7 interleaved passes
-    each) before failing: shared CI runners can slow one process mid-run,
-    and the retry filters that noise without weakening the bar the committed
-    BENCH_scale.json record documents.
-    """
-    attempts = []
-
-    def measure_with_retry():
-        for _ in range(3):
-            point = measure_hot_path(GATE_NODE_COUNT, seed=BENCH_SEED, reps=7)
-            assert point["drift"] == 0, (
-                f"batched scorer drifted from per-move on "
-                f"{point['drift']} candidates"
-            )
-            attempts.append(point)
-            if point["speedup"] >= GATE_MIN_SPEEDUP:
-                return point
-        return max(attempts, key=lambda p: p["speedup"])
-
-    point = run_once(benchmark, measure_with_retry)
+    """CI bench-smoke gate: zero drift from the moved-state oracle at 200
+    nodes.  Drift is a hard zero; the timing is printed, not gated."""
+    point = run_once(benchmark, measure_hot_path, GATE_NODE_COUNT, seed=BENCH_SEED)
     _print_record({"points": [point]})
-    assert point["speedup"] >= GATE_MIN_SPEEDUP, (
-        f"batched scorer speedup {point['speedup']:.2f}x below the "
-        f"{GATE_MIN_SPEEDUP:.1f}x gate on {len(attempts)} attempts"
+    assert point["drift"] == 0, (
+        f"batched scorer drifted from the moved-state oracle on "
+        f"{point['drift']} candidates"
     )
 
 
@@ -271,7 +215,7 @@ def test_batched_scorer_scale_gate(benchmark):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure batched-vs-per-move scoring and write BENCH_scale.json"
+        description="Measure the candidate scorer's cost and write BENCH_scale.json"
     )
     parser.add_argument(
         "--nodes",
@@ -282,9 +226,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=BENCH_SEED)
     parser.add_argument(
-        "--reps", type=int, default=5, help="timing repetitions (best-of)"
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=BENCH_JSON_PATH,
@@ -292,21 +233,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    record = measure_scale(args.nodes, seed=args.seed, reps=args.reps)
+    record = measure_scale(args.nodes, seed=args.seed)
     _print_record(record)
-
-    gate_points = [
-        p for p in record["points"] if p["num_nodes"] == GATE_NODE_COUNT
-    ]
     for point in record["points"]:
         if point["drift"]:
             print(f"\nDRIFT at {point['num_nodes']} nodes — record not written")
             return 1
-    if gate_points and gate_points[0]["speedup"] < GATE_MIN_SPEEDUP:
-        print(
-            f"\ngate point below {GATE_MIN_SPEEDUP:.1f}x "
-            f"({gate_points[0]['speedup']:.2f}x) — record written anyway"
-        )
     args.output.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\nwrote {args.output}")
     return 0

@@ -1,20 +1,23 @@
 """Micro-benchmark of the traffic model (the optimizer's hot loop).
 
-Every candidate move the optimizer considers costs one traffic-model
-evaluation, so the model's speed determines how large a network FUBAR can
+Every candidate move the optimizer considers is scored by the traffic
+model, so the model's speed determines how large a network FUBAR can
 optimize offline.  This benchmark times a single evaluation on a
-shortest-path allocation of the full 31-POP core — roughly the workload the
-optimizer runs hundreds to thousands of times per optimization.
+shortest-path allocation of the full 31-POP core, the reference model's
+evaluation of it, and the batched scoring of one step's candidate moves —
+the work the optimizer repeats hundreds to thousands of times per
+optimization.
 """
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_scale import build_scoring_workload, score_batched
 from benchmarks.conftest import print_header
+from repro.core.config import FubarConfig
 from repro.core.state import AllocationState
 from repro.topology.hurricane_electric import provisioned_core
 from repro.traffic.generators import paper_traffic_matrix
-from repro.trafficmodel.compiled import CompiledTrafficModel
 from repro.trafficmodel.waterfill import TrafficModel, reference_evaluate
 
 
@@ -52,28 +55,19 @@ def test_reference_model_evaluation_full_core(benchmark, full_core_bundles):
     assert len(result.outcomes) == len(bundles)
 
 
-def test_compiled_patched_evaluation_full_core(benchmark, full_core_bundles):
-    """The optimizer's hot path: patch one bundle, solve, score."""
+def test_candidate_scoring_full_core(benchmark, full_core_bundles):
+    """The optimizer's hot path: score every candidate move of one hot step
+    (the first congested link with movable bundles) in one batched pass."""
     network, bundles = full_core_bundles
-    engine = CompiledTrafficModel(network)
-    compiled = engine.compile(bundles)
-    sample = bundles[0]
-    patch = {
-        (sample.aggregate_key, sample.path): sample.with_num_flows(
-            max(1, sample.num_flows // 2)
-        )
-    }
+    workload = build_scoring_workload(
+        network, paper_traffic_matrix(network, seed=0), FubarConfig()
+    )
 
-    def candidate():
-        patched = engine.compile_patched(compiled, patch)
-        solution = engine.solve(patched)
-        return engine.weighted_utility(patched, solution.rates)
-
-    score = benchmark(candidate)
+    scores = benchmark(score_batched, workload)
 
     # Equivalence gate: the compiled engine must match the reference model.
     reference = reference_evaluate(network, bundles)
-    result = engine.evaluate(bundles)
+    result = workload["model"].evaluate(bundles)
     rates_ref = np.asarray([o.rate_bps for o in reference.outcomes])
     rates_new = np.asarray([o.rate_bps for o in result.outcomes])
     np.testing.assert_allclose(rates_new, rates_ref, rtol=1e-9, atol=1e-6)
@@ -82,8 +76,11 @@ def test_compiled_patched_evaluation_full_core(benchmark, full_core_bundles):
         for a, b in zip(reference.outcomes, result.outcomes)
     )
 
-    print_header("Compiled engine (patched candidate) micro-benchmark")
-    print(f"bundles: {len(bundles)}, candidate score: {score:.4f}")
+    print_header("Batched candidate scorer (one hot step) micro-benchmark")
+    print(
+        f"bundles: {len(bundles)}, candidates: {len(scores)}, "
+        f"best candidate score: {max(scores):.4f}"
+    )
 
 
 def test_shortest_path_allocation_build_full_core(benchmark):

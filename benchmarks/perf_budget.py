@@ -20,9 +20,11 @@ every committed record against the baselines stored in
 
   then commit both files; the diff documents the new expectation.
 
-Tolerances are deliberately loose (10–15%): the gate exists to catch real
+Tolerances are deliberately loose (10–25%): the gate exists to catch real
 regressions — an accidental quadratic loop, a cache that stopped hitting —
-not scheduler noise on shared CI runners.
+not scheduler noise on shared CI runners.  The calibrated scorer times get
+25%: six full-scale regenerations on one shared 2-core host read 18–19%
+apart between their lowest and highest calibrated values.
 """
 
 from __future__ import annotations
@@ -91,13 +93,16 @@ class Metric:
 
 #: The budget: every committed BENCH_*.json must appear here, and every
 #: listed metric must hold within its tolerance.  Speedups and saved
-#: fractions are all higher-is-better.
+#: fractions are higher-is-better; calibrated times (wall clock divided by
+#: the calibration kernel's, see ``benchmarks/conftest.py``) are
+#: lower-is-better.
 BUDGET: Dict[str, List[Metric]] = {
     "BENCH_running_time.json": [
         Metric(
-            "reference-vs-patched evaluation speedup",
-            ("microbench", "full_vs_incremental_speedup"),
-            tolerance=0.15,
+            "calibrated scorer ms per candidate (HE-31 hot step)",
+            ("scoring", "calibrated_ms_per_candidate"),
+            tolerance=0.25,
+            higher_is_better=False,
         ),
     ],
     "BENCH_dynamic_loop.json": [
@@ -123,9 +128,10 @@ BUDGET: Dict[str, List[Metric]] = {
     ],
     "BENCH_scale.json": [
         Metric(
-            "batched scorer speedup @200 nodes",
-            ("points", ("num_nodes", 200), "speedup"),
-            tolerance=0.15,
+            "calibrated scorer ms per candidate @200 nodes",
+            ("points", ("num_nodes", 200), "calibrated_ms_per_candidate"),
+            tolerance=0.25,
+            higher_is_better=False,
         ),
     ],
     "BENCH_fleet.json": [

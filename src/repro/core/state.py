@@ -219,13 +219,13 @@ class AllocationState:
         to_path: Path,
         num_flows: int,
     ) -> Dict[Tuple[AggregateKey, Path], Optional[Bundle]]:
-        """The bundle patch a move induces, for the compiled traffic model.
+        """The bundle patch a move induces, for the candidate scorer.
 
         Returns the two changed rows in the shape
-        :meth:`repro.trafficmodel.compiled.CompiledTrafficModel.compile_patched`
-        consumes: the shrunk (or removed, when every flow leaves) from-path
-        bundle and the grown (or brand-new) to-path bundle.  The state itself
-        is not modified; commit the winning move with :meth:`with_move`.
+        :class:`repro.trafficmodel.compiled.BatchedCandidateScorer` scores:
+        the shrunk (or removed, when every flow leaves) from-path bundle and
+        the grown (or brand-new) to-path bundle.  The state itself is not
+        modified; commit the winning move with :meth:`with_move`.
         """
         from_path, to_path, current, aggregate = self._check_move(
             key, from_path, to_path, num_flows

@@ -9,8 +9,7 @@ rounds, which individual links are worth widening first?  Each round
    re-solves the compiled bundle list the incumbent plan's result carries
    with only the capacity vector swapped
    (:meth:`~repro.trafficmodel.compiled.CompiledTrafficModel.solve` with a
-   ``capacities`` override) — the evaluate-patched trick applied to the
-   supply side instead of the demand side;
+   ``capacities`` override), so the allocation is never recompiled;
 3. commits the candidate with the best utility gain per added bit/s
    (:meth:`~repro.topology.graph.Network.with_link_capacity`, both
    directions of the fibre) and re-optimizes FUBAR on the upgraded network,
@@ -196,11 +195,13 @@ def greedy_link_upgrades(
     config = fubar_config or FubarConfig()
 
     current_network = network
+    model = traffic_model_for(current_network, cache=model_cache)
     result: FubarResult = FubarOptimizer(
         current_network,
         traffic_matrix,
         config=config,
         path_generator=path_generator_for(current_network, cache=path_cache),
+        traffic_model=model,
     ).run()
     plan = UpgradePlan(
         base_utility=result.weighted_utility,
@@ -229,7 +230,7 @@ def greedy_link_upgrades(
 
         # Cheap probes: score every candidate by re-solving the incumbent's
         # compiled allocation with a patched capacity vector.
-        engine = traffic_model_for(current_network, cache=model_cache).engine
+        engine = model.engine
         compiled = model_result.compiled
         assert compiled is not None
         base_capacities = np.asarray(current_network.capacities(), dtype=float)
@@ -269,11 +270,13 @@ def greedy_link_upgrades(
                 for direction in directions
             }
         )
+        model = traffic_model_for(upgraded, cache=model_cache)
         optimizer = FubarOptimizer(
             upgraded,
             traffic_matrix,
             config=config,
             path_generator=path_generator_for(upgraded, cache=path_cache),
+            traffic_model=model,
         )
         utility_before = result.weighted_utility
         if warm_start:

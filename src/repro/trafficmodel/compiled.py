@@ -13,12 +13,6 @@ bundle.  This module removes both costs:
   path) row cache, so the graph walks (link indices, RTT, path delay, the
   delay component of the utility function) happen once per distinct path and
   are reused across every subsequent evaluation;
-* :meth:`CompiledTrafficModel.compile_patched` derives the arrays of a
-  *candidate* bundle list from an already-compiled base by patching only the
-  rows a move changes (reduce/remove the from-path bundle, grow/append the
-  to-path bundle) instead of rebuilding all of them.  The optimizer no
-  longer runs it: it is the oracle the candidate scorer is tested against
-  and an arm of the running-time and scale benchmarks;
 * :meth:`CompiledTrafficModel.solve` replaces the one-event-per-bundle loop
   with a *waterfall* formulation: between two link-saturation events every
   bundle's rate trajectory is the closed form ``min(growth * t, demand)``, so
@@ -37,7 +31,8 @@ bundle.  This module removes both costs:
   step's compiled base in two rows, so a candidate block reuses the base
   layout's order and link segments and rebuilds only the segments the two
   rows cross — no per-candidate compile, sort or CSR build — before one
-  shared event loop solves the chunk and one roll-up scores it;
+  shared event loop solves the chunk and one roll-up scores it.  Each score
+  is bitwise the network utility of evaluating the moved state;
 * one vectorized roll-up turns rates into utilities, over cached per-path
   delay factors and grouped bandwidth components: :meth:`result_of
   <CompiledTrafficModel.result_of>` gives every result its per-aggregate
@@ -51,9 +46,9 @@ bundle.  This module removes both costs:
 
 The engine is semantically equivalent to ``reference_evaluate`` (same event
 ordering rules, same satisfaction/saturation tolerances); the equivalence is
-enforced by the property suite in ``tests/test_trafficmodel_compiled.py``,
-which also checks that the full and patched paths agree *bit for bit* on
-identically-ordered bundle lists.
+enforced by the property suite in ``tests/test_trafficmodel_compiled.py``;
+``tests/test_batched_scorer.py`` holds the scorer to the moved-state
+evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -126,10 +121,9 @@ class _Solution:
 class CompiledBundles:
     """A bundle list compiled to dense arrays, ready for repeated solving.
 
-    Instances are produced by :meth:`CompiledTrafficModel.compile` (full
-    build through the row cache) and :meth:`CompiledTrafficModel.compile_patched`
-    (derived from a base by patching only the changed rows).  They are
-    treated as immutable by the solver.
+    Instances are produced by :meth:`CompiledTrafficModel.compile`, so
+    aggregate ids follow each aggregate's first bundle and every aggregate
+    holds at least one bundle.  They are treated as immutable by the solver.
     """
 
     __slots__ = (
@@ -206,7 +200,7 @@ class CompiledBundles:
 
     @property
     def agg_flows(self) -> np.ndarray:
-        """Total flows per aggregate id (zero for aggregates patched away)."""
+        """Total flows per aggregate id."""
         if self._agg_flows is None:
             self._agg_flows = np.bincount(
                 self.agg_ids, weights=self.flows, minlength=len(self.aggregates)
@@ -245,48 +239,6 @@ class CompiledBundles:
             self.components, self.delay_factors[None, :], self.agg_ids[None, :],
             self.agg_flows,
         )[0]
-
-
-def _spliced_flat_links(
-    base: CompiledBundles,
-    edits: Dict[int, Optional[np.ndarray]],
-    added_rows: Sequence[_BundleRow],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Derive a patched bundle list's flat-link arrays from the base's.
-
-    ``edits`` maps a base column to its replacement link array (``None``
-    drops the column); ``added_rows`` are appended at the end.  Splicing
-    costs O(edited columns) slices plus one concatenate over the entries,
-    instead of the O(bundles) python rebuild the lazy ``flat_links``
-    property performs — the difference dominates candidate compilation once
-    topologies reach hundreds of nodes.
-    """
-    base_flat, base_counts = base.flat_links
-    if not edits and not added_rows:
-        return base_flat, base_counts
-    offsets = np.zeros(base_counts.shape[0] + 1, dtype=np.intp)
-    np.cumsum(base_counts, out=offsets[1:])
-    flat_parts: List[np.ndarray] = []
-    count_parts: List[np.ndarray] = []
-    prev = 0
-    for column in sorted(edits):
-        if column > prev:
-            flat_parts.append(base_flat[offsets[prev] : offsets[column]])
-            count_parts.append(base_counts[prev:column])
-        links = edits[column]
-        if links is not None:
-            flat_parts.append(links)
-            count_parts.append(np.asarray([links.shape[0]], dtype=np.intp))
-        prev = column + 1
-    if prev < base_counts.shape[0]:
-        flat_parts.append(base_flat[offsets[prev] :])
-        count_parts.append(base_counts[prev:])
-    for row in added_rows:
-        flat_parts.append(row.link_indices)
-        count_parts.append(np.asarray([row.link_indices.shape[0]], dtype=np.intp))
-    if not flat_parts:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    return np.concatenate(flat_parts), np.concatenate(count_parts)
 
 
 def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -1081,7 +1033,7 @@ class CompiledTrafficModel:
         self._capacities = np.asarray(network.capacities(), dtype=float)
         self._num_links = network.num_links
         self._rows: Dict[Tuple[AggregateKey, Path], _BundleRow] = {}
-        #: Number of solver runs (full or patched); mirrors the historical
+        #: Number of solved blocks and scored candidates; mirrors the historical
         #: ``TrafficModel.evaluations`` counter.
         self.evaluations = 0
 
@@ -1174,169 +1126,31 @@ class CompiledTrafficModel:
     def compile_patched(
         self, base: CompiledBundles, replacements: BundlePatch
     ) -> CompiledBundles:
-        """Derive the compiled arrays of a patched bundle list from *base*.
+        """Compile *base*'s bundle list with *replacements* applied.
 
         ``replacements`` maps (aggregate key, path) pairs to the new bundle
-        for that row (``None`` drops the row; pairs not present in the base
-        are appended at the end).  Only the changed rows are recomputed —
-        everything else is reused or copied from the base arrays.
+        for that row: a changed row stays in place, ``None`` drops the row,
+        and a pair the base does not hold is appended.  Nothing in the
+        optimizer calls it; it stays a plain method of this class because
+        ``perfbench/tracing.py`` wraps it by name, until the in-tree span
+        recorder of ROADMAP.md item 7 replaces that patch table.
         """
-        removed: List[int] = []
-        changed: List[Tuple[int, Bundle]] = []
-        additions: List[Bundle] = []
-        for (key, path), new_bundle in replacements.items():
-            column = base.index.get((key, tuple(path)))
-            if column is None:
-                if new_bundle is None:
-                    raise TrafficModelError(
-                        f"cannot remove unknown bundle ({key!r}, {path!r}) "
-                        "from the compiled base"
-                    )
-                additions.append(new_bundle)
-            elif new_bundle is None:
-                removed.append(column)
-            else:
-                changed.append((column, new_bundle))
-
-        num_base = len(base.bundles)
-        bundles_list = list(base.bundles)
-        rows_list = list(base.rows)
-        demands = base.demands.copy()
-        growth = base.growth.copy()
-        flows = base.flows.copy()
-        delay_factors = base.delay_factors
-        components = base.components
-        comp_ids = base.comp_ids
-        for column, new_bundle in changed:
-            row = self._row_for(new_bundle)
-            bundles_list[column] = new_bundle
-            rows_list[column] = row
-            demands[column] = new_bundle.num_flows * row.per_flow_demand_bps
-            growth[column] = self._growth_of(new_bundle, row)
-            flows[column] = float(new_bundle.num_flows)
-            if row.delay_utility != delay_factors[column]:
-                if delay_factors is base.delay_factors:
-                    delay_factors = base.delay_factors.copy()
-                delay_factors[column] = row.delay_utility
-            # A replacement carrying a different utility (e.g. a rebuilt
-            # aggregate) also changes the bandwidth curve the scorer uses.
-            current = components[comp_ids[column]]
-            if not (current is row.bandwidth or current == row.bandwidth):
-                try:
-                    component_id = components.index(row.bandwidth)
-                except ValueError:
-                    if components is base.components:
-                        components = list(base.components)
-                    component_id = len(components)
-                    components.append(row.bandwidth)
-                if comp_ids is base.comp_ids:
-                    comp_ids = base.comp_ids.copy()
-                comp_ids[column] = component_id
-
-        # Flat-link edits are keyed by base column, so collect them before
-        # removals shift the columns of the list copies.
-        edits: Dict[int, Optional[np.ndarray]] = {column: None for column in removed}
-        for column, _ in changed:
-            if rows_list[column] is not base.rows[column]:
-                edits[column] = rows_list[column].link_indices
-
-        if not removed and not additions:
-            patched = CompiledBundles(
-                bundles=tuple(bundles_list),
-                rows=tuple(rows_list),
-                demands=demands,
-                growth=growth,
-                flows=flows,
-                agg_ids=base.agg_ids,
-                aggregates=base.aggregates,
-                agg_index=base.agg_index,
-                agg_class_ids=base.agg_class_ids,
-                class_names=base.class_names,
-                comp_ids=comp_ids,
-                components=components,
-                delay_factors=delay_factors,
-                num_links=base.num_links,
-            )
-            patched._flat_links, patched._link_counts = _spliced_flat_links(
-                base, edits, ()
-            )
-            return patched
-
-        keep = np.ones(num_base, dtype=bool)
-        keep[removed] = False
-
-        added_rows = [self._row_for(bundle) for bundle in additions]
-        aggregates = base.aggregates
-        agg_index = base.agg_index
-        agg_class_ids = base.agg_class_ids
-        class_names = base.class_names
-        added_agg_ids: List[int] = []
-        added_comp_ids: List[int] = []
-        for bundle, row in zip(additions, added_rows):
-            agg_id = agg_index.get(bundle.aggregate.key)
-            if agg_id is None:
-                if aggregates is base.aggregates:
-                    aggregates = list(base.aggregates)
-                    agg_index = dict(base.agg_index)
-                    agg_class_ids = list(base.agg_class_ids)
-                    class_names = list(base.class_names)
-                agg_id = len(aggregates)
-                agg_index[bundle.aggregate.key] = agg_id
-                aggregates.append(bundle.aggregate)
-                traffic_class = bundle.aggregate.traffic_class
-                if traffic_class in class_names:
-                    class_id = class_names.index(traffic_class)
-                else:
-                    class_id = len(class_names)
-                    class_names.append(traffic_class)
-                agg_class_ids.append(class_id)
-            added_agg_ids.append(agg_id)
-            try:
-                comp_id = components.index(row.bandwidth)
-            except ValueError:
-                if components is base.components:
-                    components = list(base.components)
-                comp_id = len(components)
-                components.append(row.bandwidth)
-            added_comp_ids.append(comp_id)
-        if isinstance(agg_class_ids, list):
-            agg_class_ids = np.asarray(agg_class_ids, dtype=np.intp)
-
-        for column in sorted(removed, reverse=True):
-            del bundles_list[column]
-            del rows_list[column]
-        patched = CompiledBundles(
-            bundles=tuple(bundles_list) + tuple(additions),
-            rows=tuple(rows_list) + tuple(added_rows),
-            demands=np.concatenate(
-                [demands[keep], [b.num_flows * r.per_flow_demand_bps for b, r in zip(additions, added_rows)]]
-            ),
-            growth=np.concatenate(
-                [growth[keep], [self._growth_of(b, r) for b, r in zip(additions, added_rows)]]
-            ),
-            flows=np.concatenate(
-                [flows[keep], [float(b.num_flows) for b in additions]]
-            ),
-            agg_ids=np.concatenate(
-                [base.agg_ids[keep], np.asarray(added_agg_ids, dtype=np.intp)]
-            ),
-            aggregates=aggregates,
-            agg_index=agg_index,
-            agg_class_ids=agg_class_ids,
-            class_names=class_names,
-            comp_ids=np.concatenate(
-                [comp_ids[keep], np.asarray(added_comp_ids, dtype=np.intp)]
-            ),
-            components=components,
-            delay_factors=np.concatenate(
-                [delay_factors[keep], [row.delay_utility for row in added_rows]]
-            ),
-            num_links=base.num_links,
-        )
-        patched._flat_links, patched._link_counts = _spliced_flat_links(
-            base, edits, added_rows
-        )
-        return patched
+        pending = {
+            (key, tuple(path)): bundle for (key, path), bundle in replacements.items()
+        }
+        bundles: List[Bundle] = []
+        for bundle in base.bundles:
+            replacement = pending.pop((bundle.aggregate_key, bundle.path), bundle)
+            if replacement is not None:
+                bundles.append(replacement)
+        for (key, path), bundle in pending.items():
+            if bundle is None:
+                raise TrafficModelError(
+                    f"cannot remove unknown bundle ({key!r}, {path!r}) "
+                    "from the compiled base"
+                )
+            bundles.append(bundle)
+        return self.compile(bundles)
 
     # ----------------------------------------------------------------- solve
 
@@ -1424,8 +1238,7 @@ class CompiledTrafficModel:
         """The weighted network utility of a solution, without result objects.
 
         The roll-up :meth:`result_of` gives a result, averaged with priority
-        weights in aggregate order: for a compiled (unpatched) bundle list it
-        equals that result's
+        weights in aggregate order: it equals that result's
         :meth:`~repro.trafficmodel.result.TrafficModelResult.network_utility`
         bit for bit.  Assumes aggregate keys are unique within the bundle
         list, as they are in any state derived from a traffic matrix.
@@ -1445,13 +1258,11 @@ class CompiledTrafficModel:
         """Assemble the full :class:`TrafficModelResult` for a solution.
 
         The result carries *compiled* and the solved rates, and its
-        per-aggregate utilities in order of each aggregate's first bundle
-        (an aggregate a patch left without bundles is left out).
+        per-aggregate utilities in order of each aggregate's first bundle.
         """
         rates = solution.rates
         # bincount accumulates in a fixed order, making the reported loads
-        # independent of array alignment (unlike a BLAS matrix product), so
-        # the full and patched paths agree bit for bit.
+        # independent of array alignment (unlike a BLAS matrix product).
         flat, counts = compiled.flat_links
         link_loads = np.bincount(
             flat, weights=np.repeat(rates, counts), minlength=self._num_links
@@ -1477,17 +1288,18 @@ class CompiledTrafficModel:
                 solution.bottleneck.tolist(),
             )
         ]
-        values = compiled.rollup(rates).tolist()
-        agg_flows = compiled.agg_flows.tolist()
-        present, first = np.unique(compiled.agg_ids, return_index=True)
         utilities = [
             AggregateUtility(
-                aggregate_key=compiled.aggregates[agg_id].key,
-                utility=values[agg_id],
-                num_flows=int(agg_flows[agg_id]),
-                traffic_class=compiled.aggregates[agg_id].traffic_class,
+                aggregate_key=aggregate.key,
+                utility=value,
+                num_flows=int(flows),
+                traffic_class=aggregate.traffic_class,
             )
-            for agg_id in present[np.argsort(first)].tolist()
+            for aggregate, value, flows in zip(
+                compiled.aggregates,
+                compiled.rollup(rates).tolist(),
+                compiled.agg_flows.tolist(),
+            )
         ]
         return TrafficModelResult(
             network, outcomes, link_loads, link_demands, utilities, compiled, rates
@@ -1562,9 +1374,10 @@ class BatchedCandidateScorer:
       inserted slots in rank order, and one roll-up scores it over the
       base's *n* columns plus one for a new to-path.
 
-    Every score is *bitwise* the ``compile_patched`` + ``solve`` +
-    ``weighted_utility`` score of the same patch (tests/test_batched_scorer.py
-    keeps that loop as the oracle).  Only move-shaped patches are accepted
+    Every score is *bitwise* the network utility of a full evaluation of
+    the moved state, ``model.evaluate(state.with_move(...).bundles())``
+    (tests/test_batched_scorer.py keeps that evaluation as the oracle).
+    Only move-shaped patches are accepted
     — at most one removed or shrunk row and at most one grown or new row of
     one aggregate the base holds, moving the same number of flows — and any
     other patch raises :class:`TrafficModelError`.  Counts one evaluation

@@ -255,7 +255,7 @@ class TrafficModel:
 
     @property
     def evaluations(self) -> int:
-        """Number of model evaluations performed (full or patched)."""
+        """Number of model evaluations performed (solves and scored candidates)."""
         return self.engine.evaluations
 
     def evaluate(self, bundles: Sequence[Bundle]) -> TrafficModelResult:

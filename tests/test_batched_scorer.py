@@ -1,29 +1,38 @@
-"""Equivalence suite: BatchedCandidateScorer vs per-move scoring.
+"""Equivalence suite: BatchedCandidateScorer vs the moved state.
 
-The optimizer scores every candidate move through the batched scorer, which
-only counts if it is *bitwise* interchangeable with the per-move
-``compile_patched`` + ``solve`` + ``weighted_utility`` loop this suite keeps
-as its oracle — the optimizer must select the move the oracle selects.
-This suite locks that in three layers:
+Paper Listing 2 scores a candidate move by the network utility of the
+allocation after the move.  The optimizer scores every candidate through
+the batched scorer, which only counts if it is *bitwise* interchangeable
+with that definition, which this suite keeps as its oracle: a full
+evaluation of the moved state,
+``model.evaluate(state.with_move(...).bundles()).network_utility(weights)``
+— the public path ``perform_step`` commits a move through, sharing no code
+with the scorer's patch parsing or base-space layout.  The optimizer must
+select the move the oracle selects.  This suite locks that in three layers:
 
 1. Solves — rates and bottleneck attribution of a block solved alone equal
    those of the same block inside any ``solve_batched`` batch, including
    under capacity overrides; and the scorer's base-space solve of each
    candidate (base slots and segments reused, links the move leaves alone
-   started from the base's crossing times) gives the rates a cold solve of
-   the candidate's compiled patch gives.
-2. Scores — ``BatchedCandidateScorer.score`` equals per-move scores exactly
-   (drift 0, not within a tolerance) on HE-31, Abilene and tiered seeds,
-   with and without RTT fairness (tied satisfy times), and in every
-   chunking.
+   started from the base's crossing times) gives the per-bundle rates the
+   moved state's evaluation gives.
+2. Scores — ``BatchedCandidateScorer.score`` equals the oracle's scores
+   exactly (drift 0, not within a tolerance) on HE-8, Abilene and tiered
+   seeds, with and without RTT fairness (tied satisfy times), in every
+   chunking, and for every candidate of every congested link at escalation
+   levels 0-2 — whole-bundle moves included, whose from-row goes, so a
+   recompile of the patched list would renumber the moved aggregate and
+   sum the roll-up in another order.
 3. Moves — every move ``perform_step`` commits is the first-best candidate
-   by per-move scores, and a step reports no progress exactly when no
-   candidate clears ``min_utility_improvement``.  Every scenario (HE-31,
+   by the oracle's scores, and a step reports no progress exactly when no
+   candidate clears ``min_utility_improvement``.  Every scenario (HE-8,
    Abilene and tiered-metro seeds) commits at least one move, and the
-   scorer's scores equal the per-move scores at every link visited.
+   scorer's scores equal the oracle's at every link visited.
 """
 
 from __future__ import annotations
+
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 import pytest
@@ -34,9 +43,12 @@ from repro.exceptions import TrafficModelError
 from repro.experiments.scenarios import build_paper_scenario, build_sweep_scenario
 from repro.experiments.tiered import build_tiered_scenario
 from repro.paths.generator import PathGenerator
+from repro.topology.graph import Path
+from repro.traffic.aggregate import AggregateKey
 from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.compiled import (
     BatchedCandidateScorer,
+    CompiledBundles,
     CompiledTrafficModel,
     _adaptive_batch_size,
 )
@@ -92,35 +104,20 @@ def test_solve_batched_capacity_override(name):
         _assert_solutions_equal(single, solution, name)
 
 
-def test_scorer_rates_equal_cold_solves(hot_workload):
+def test_scorer_rates_equal_cold_solves(hot_step):
     """The scorer solves each candidate in the base's index space: base
     slots and segments reused, only the segments the move's rows cross
     rebuilt, and every other link started from the base's crossing time.
-    Per candidate, its column rates are bitwise a cold solve of the
-    compiled patch; a removed from-bundle and an unused new-path column
-    carry nothing."""
-    engine, base, deltas, _ = hot_workload
-    scorer = BatchedCandidateScorer(engine, base)
-    scorer.score(deltas)  # computes the base's crossing times
-    rates, flows = scorer._solve_chunk(
-        [scorer._parse(delta) for delta in deltas]
-    )[:2]
-    for k, delta in enumerate(deltas):
-        patched = engine.compile_patched(base, delta)
-        expected_rates = np.zeros(len(base) + 1)
-        expected_flows = np.zeros(len(base) + 1)
-        for bundle, rate in zip(patched.bundles, engine.solve(patched).rates):
-            column = base.index.get((bundle.aggregate_key, bundle.path), len(base))
-            expected_rates[column] = rate
-            expected_flows[column] = bundle.num_flows
-        assert np.array_equal(rates[k], expected_rates), k
-        assert np.array_equal(flows[k], expected_flows), k
+    Per candidate, its column rates are bitwise the rates a full evaluation
+    of the moved state gives each bundle; a removed from-bundle and an
+    unused new-path column carry nothing."""
+    _assert_rates_equal_moved_states(hot_step.model, hot_step.state, hot_step.moves)
 
 
-def test_scorer_rejects_non_move_patches(hot_workload):
+def test_scorer_rejects_non_move_patches(hot_step):
     """Only move-shaped patches are scored; anything else raises before a
     single evaluation is counted."""
-    engine, base, deltas, _ = hot_workload
+    engine, base, deltas = hot_step.engine, hot_step.base, hot_step.deltas
     (from_row, shrunk), (to_row, grown) = deltas[0].items()
     other = next(b for b in base.bundles if b.aggregate_key != from_row[0])
     other_row = (other.aggregate_key, other.path)
@@ -140,18 +137,20 @@ def test_scorer_rejects_non_move_patches(hot_workload):
     assert engine.evaluations == before
 
 
-def test_scorer_scores_an_empty_patch_as_the_base(hot_workload):
+def test_scorer_scores_an_empty_patch_as_the_base(hot_step):
     """A patch that moves nothing is move-shaped (no from-row, no to-row)
-    and scores as the base, next to real moves in one chunk."""
-    engine, base, deltas, scenario = hot_workload
-    weights = scenario.fubar_config.priority_weights
-    patches = [{}, deltas[0], {}]
-    expected = _per_move_scores(engine, base, patches, weights)
-    assert BatchedCandidateScorer(engine, base, weights).score(patches) == expected
+    and scores as the unmoved state, next to a real move in one chunk."""
+    model, state, weights = hot_step.model, hot_step.state, hot_step.weights
+    unmoved = model.evaluate(state.bundles()).network_utility(weights)
+    expected = [unmoved] + moved_state_scores(
+        model, state, hot_step.moves[:1], weights
+    ) + [unmoved]
+    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
+    assert scorer.score([{}, hot_step.deltas[0], {}]) == expected
 
 
-def test_scorer_counts_base_pass_and_candidates(hot_workload):
-    engine, base, deltas, _ = hot_workload
+def test_scorer_counts_base_pass_and_candidates(hot_step):
+    engine, base, deltas = hot_step.engine, hot_step.base, hot_step.deltas
     scorer = BatchedCandidateScorer(engine, base)
     before = engine.evaluations
     scorer.score(deltas)
@@ -163,11 +162,49 @@ def test_scorer_counts_base_pass_and_candidates(hot_workload):
 # --------------------------------------------------------- score equality
 
 
-@pytest.fixture(scope="module")
-def hot_workload():
-    """Engine, compiled base and the candidate deltas of one hot step.
+#: A move: aggregate key, from-path, to-path and flows moved.
+Move = Tuple[AggregateKey, Path, Path, int]
 
-    HE-31 is the smallest scenario whose congested links have movable
+
+class HotStep(NamedTuple):
+    """The inputs of one optimizer step: its state, compiled base and the
+    candidate moves of its first congested link with movable bundles."""
+
+    scenario: object
+    model: TrafficModel
+    state: AllocationState
+    base: CompiledBundles
+    moves: List[Move]
+
+    @property
+    def engine(self) -> CompiledTrafficModel:
+        return self.model.engine
+
+    @property
+    def weights(self):
+        return self.scenario.fubar_config.priority_weights
+
+    @property
+    def deltas(self):
+        return [self.state.move_delta(*move) for move in self.moves]
+
+
+def candidate_moves(state, path_sets, generator, config, result, link_id, level):
+    """The moves ``perform_step`` scores on *link_id* at escalation *level*."""
+    return [
+        (bundle.aggregate_key, bundle.path, to_path, flows)
+        for bundle, to_path, flows in _candidate_moves(
+            link_id, state, path_sets, generator, config, result, level
+        )
+    ]
+
+
+@pytest.fixture(scope="module")
+def hot_step():
+    """One hot step: the HE core's (8 POPs at the default reduced scale)
+    first congested link with movable candidates.
+
+    It is the smallest scenario whose congested links have movable
     candidates (the tiered-small sizes congest only access stubs, which
     have no alternative paths); the 200-node tiered drift gate lives in
     benchmarks/bench_scale.py.
@@ -175,107 +212,162 @@ def hot_workload():
     scenario = build_paper_scenario(seed=0)
     network = scenario.network
     generator = PathGenerator(network)
-    state = AllocationState.initial(
-        network, scenario.traffic_matrix, generator
-    )
+    state = AllocationState.initial(network, scenario.traffic_matrix, generator)
     model = TrafficModel(network)
     result = model.evaluate(state.bundles())
-    deltas = []
     path_sets = build_path_sets(network, state)
+    moves: List[Move] = []
     for link_id in result.congested_links:
-        deltas = [
-            state.move_delta(
-                bundle.aggregate_key, bundle.path, candidate, num_to_move
-            )
-            for bundle, candidate, num_to_move in _candidate_moves(
-                link_id,
-                state,
-                path_sets,
-                generator,
-                scenario.fubar_config,
-                result,
-                0,
-            )
-        ]
-        if deltas:
+        moves = candidate_moves(
+            state, path_sets, generator, scenario.fubar_config, result, link_id, 0
+        )
+        if moves:
             break
-    assert deltas, "HE-31 seed 0 should yield candidate moves"
+    assert moves, "the HE core should yield candidate moves"
+    return HotStep(scenario, model, state, result.compiled, moves)
+
+
+def moved_state_scores(model, state, moves, weights):
+    """The oracle: the network utility of a full evaluation of each moved
+    state, through the same public path ``perform_step`` commits by."""
+    return [
+        model.evaluate(state.with_move(*move).bundles()).network_utility(weights)
+        for move in moves
+    ]
+
+
+def _assert_rates_equal_moved_states(model, state, moves):
+    """The scorer's per-column rates and flows of each move, in the base's
+    columns plus one for a new to-path, equal the moved state's outcomes."""
     engine = model.engine
-    return engine, engine.compile(state.bundles()), deltas, scenario
+    base = engine.compile(state.bundles())
+    scorer = BatchedCandidateScorer(engine, base)
+    deltas = [state.move_delta(*move) for move in moves]
+    scorer.score(deltas)  # computes the base's crossing times
+    rates, flows = scorer._solve_chunk(
+        [scorer._parse(delta) for delta in deltas]
+    )[:2]
+    for k, move in enumerate(moves):
+        moved = model.evaluate(state.with_move(*move).bundles())
+        expected_rates = np.zeros(len(base) + 1)
+        expected_flows = np.zeros(len(base) + 1)
+        for outcome in moved.outcomes:
+            bundle = outcome.bundle
+            column = base.index.get((bundle.aggregate_key, bundle.path), len(base))
+            expected_rates[column] = outcome.rate_bps
+            expected_flows[column] = bundle.num_flows
+        assert np.array_equal(rates[k], expected_rates), move
+        assert np.array_equal(flows[k], expected_flows), move
 
 
-def _per_move_scores(engine, base, deltas, weights):
-    scores = []
-    for delta in deltas:
-        patched = engine.compile_patched(base, delta)
-        solution = engine.solve(patched)
-        scores.append(engine.weighted_utility(patched, solution.rates, weights))
-    return scores
-
-
-def test_batched_scores_equal_per_move_exactly(hot_workload):
-    engine, base, deltas, scenario = hot_workload
-    weights = scenario.fubar_config.priority_weights
-    expected = _per_move_scores(engine, base, deltas, weights)
-    actual = BatchedCandidateScorer(engine, base, weights).score(deltas)
-    assert actual == expected  # bitwise, not approx
+def test_batched_scores_equal_per_move_exactly(hot_step):
+    weights = hot_step.weights
+    expected = moved_state_scores(
+        hot_step.model, hot_step.state, hot_step.moves, weights
+    )
+    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
+    assert scorer.score(hot_step.deltas) == expected  # bitwise, not approx
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3, 64])
-def test_scores_do_not_depend_on_chunking(hot_workload, batch_size):
+def test_scores_do_not_depend_on_chunking(hot_step, batch_size):
     """Chunk boundaries regroup the stacked solve; scores must not move."""
-    engine, base, deltas, scenario = hot_workload
-    weights = scenario.fubar_config.priority_weights
-    expected = _per_move_scores(engine, base, deltas, weights)
-    scorer = BatchedCandidateScorer(
-        engine, base, weights, batch_size=batch_size
+    weights = hot_step.weights
+    expected = moved_state_scores(
+        hot_step.model, hot_step.state, hot_step.moves, weights
     )
-    assert scorer.score(deltas) == expected
+    scorer = BatchedCandidateScorer(
+        hot_step.engine, hot_step.base, weights, batch_size=batch_size
+    )
+    assert scorer.score(hot_step.deltas) == expected
 
 
-def test_batched_scores_equal_per_move_with_tied_satisfy_times(hot_workload):
+def test_batched_scores_equal_per_move_with_tied_satisfy_times(hot_step):
     """Without RTT fairness a bundle's satisfy time is its per-flow demand,
     so satisfy times tie across most bundles and an inserted row's rank is
     settled by its column; scores stay bitwise."""
-    _, _, deltas, scenario = hot_workload
-    engine = CompiledTrafficModel(
-        scenario.network, TrafficModelConfig(rtt_fairness=False)
+    model = TrafficModel(
+        hot_step.scenario.network, TrafficModelConfig(rtt_fairness=False)
     )
-    state = AllocationState.initial(
-        scenario.network, scenario.traffic_matrix, PathGenerator(scenario.network)
-    )
-    base = engine.compile(state.bundles())
+    state, moves, weights = hot_step.state, hot_step.moves, hot_step.weights
+    base = model.engine.compile(state.bundles())
     satisfy = base.layout.satisfy
     assert np.unique(satisfy).shape[0] < satisfy.shape[0] // 2
-    weights = scenario.fubar_config.priority_weights
-    expected = _per_move_scores(engine, base, deltas, weights)
+    expected = moved_state_scores(model, state, moves, weights)
     for batch_size in (None, 3):
-        scorer = BatchedCandidateScorer(engine, base, weights, batch_size=batch_size)
-        assert scorer.score(deltas) == expected
+        scorer = BatchedCandidateScorer(
+            model.engine, base, weights, batch_size=batch_size
+        )
+        assert scorer.score(hot_step.deltas) == expected
 
 
-def test_batched_scores_equal_per_move_with_rebuilt_utility(hot_workload):
+def test_batched_scores_equal_per_move_with_rebuilt_utility(hot_step):
     """Moves whose rows carry a rebuilt utility (three times the demand, so
     a bandwidth curve the base does not hold) are scored on their own curve
-    and satisfy times, bitwise as per move."""
-    engine, base, deltas, scenario = hot_workload
-    patches = []
-    for delta in deltas:
-        aggregate = next(b for b in delta.values() if b is not None).aggregate
+    and satisfy times, bitwise as the moved state with those rows rebuilt."""
+    model, state, weights = hot_step.model, hot_step.state, hot_step.weights
+    patches, expected = [], []
+    for move, delta in zip(hot_step.moves, hot_step.deltas):
+        aggregate = state.traffic_matrix.get(move[0])
         rebuilt = aggregate.with_utility(
             aggregate.utility.with_demand(aggregate.utility.demand_bps * 3.0)
         )
+
+        def rebuild(bundle):
+            return Bundle(rebuilt, bundle.path, bundle.num_flows)
+
         patches.append(
             {
-                row: None
-                if bundle is None
-                else Bundle(rebuilt, bundle.path, bundle.num_flows)
+                row: None if bundle is None else rebuild(bundle)
                 for row, bundle in delta.items()
             }
         )
-    weights = scenario.fubar_config.priority_weights
-    expected = _per_move_scores(engine, base, patches, weights)
-    assert BatchedCandidateScorer(engine, base, weights).score(patches) == expected
+        moved = [
+            rebuild(bundle) if (bundle.aggregate_key, bundle.path) in delta else bundle
+            for bundle in state.with_move(*move).bundles()
+        ]
+        expected.append(model.evaluate(moved).network_utility(weights))
+    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
+    assert scorer.score(patches) == expected
+
+
+@pytest.mark.parametrize("rtt_fairness", [True, False])
+@pytest.mark.parametrize("name", ["he31", "abilene"])
+def test_every_candidate_up_to_level_two_scores_as_its_moved_state(
+    name, rtt_fairness
+):
+    """Every candidate of every congested link of the initial state, at
+    escalation levels 0-2, scores bitwise as its moved state, and its
+    per-column rates are the moved state's; without RTT fairness satisfy
+    times tie across most bundles.  A third of the candidates move a whole
+    bundle, so the from-row goes: the moved state keeps the aggregate in
+    place, where a recompile of the patched list would renumber it last and
+    sum the roll-up in another order (with RTT fairness, 5 of the HE core's
+    72 candidates and 11 of Abilene's 141 score differently that way).
+    Tiered-metro seeds are left to the move-choice walk: scoring all their
+    levels takes tens of seconds."""
+    scenario = scenario_by_name(name)
+    network, config = scenario.network, scenario.fubar_config
+    weights = config.priority_weights
+    generator = PathGenerator(network)
+    state = AllocationState.initial(network, scenario.traffic_matrix, generator)
+    path_sets = build_path_sets(network, state)
+    model = TrafficModel(network, TrafficModelConfig(rtt_fairness=rtt_fairness))
+    result = model.evaluate(state.bundles())
+    base = result.compiled
+    moves = [
+        move
+        for link_id in result.congested_links
+        for level in range(3)
+        for move in candidate_moves(
+            state, path_sets, generator, config, result, link_id, level
+        )
+    ]
+    assert sum(state.flows_on(key, path) == n for key, path, _, n in moves) > 0
+    scorer = BatchedCandidateScorer(model.engine, base, weights)
+    scores = scorer.score([state.move_delta(*move) for move in moves])
+    assert scores == moved_state_scores(model, state, moves, weights)
+    _assert_rates_equal_moved_states(model, state, moves)
 
 
 def test_adaptive_batch_size_bounds():
@@ -290,8 +382,8 @@ def test_adaptive_batch_size_bounds():
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_optimizer_selects_identical_moves(name):
     """Every move ``perform_step`` commits is the first-best candidate by
-    per-move scores, and it reports no progress exactly when no candidate
-    beats the current utility by ``min_utility_improvement``.
+    the moved-state scores, and it reports no progress exactly when no
+    candidate beats the current utility by ``min_utility_improvement``.
 
     The tiered seeds run the metro size: the small size congests only access
     stubs, which have no alternative paths, so it would commit no move."""
@@ -306,21 +398,14 @@ def test_optimizer_selects_identical_moves(name):
     result = model.evaluate(state.bundles())
     steps = escalation = 0
     while steps < 4 and result.has_congestion:
-        base = engine.compile(state.bundles())
-        rates = np.asarray([outcome.rate_bps for outcome in result.outcomes])
-        threshold = engine.weighted_utility(base, rates, weights)
-        threshold += config.min_utility_improvement
+        base = result.compiled
+        threshold = result.network_utility(weights) + config.min_utility_improvement
         for link_id in result.congested_links_by_oversubscription():
-            moves = list(
-                _candidate_moves(
-                    link_id, state, path_sets, generator, config, result, escalation
-                )
+            moves = candidate_moves(
+                state, path_sets, generator, config, result, link_id, escalation
             )
-            deltas = [
-                state.move_delta(bundle.aggregate_key, bundle.path, to_path, flows)
-                for bundle, to_path, flows in moves
-            ]
-            scores = _per_move_scores(engine, base, deltas, weights)
+            deltas = [state.move_delta(*move) for move in moves]
+            scores = moved_state_scores(model, state, moves, weights)
             assert BatchedCandidateScorer(engine, base, weights).score(deltas) == scores
             step = perform_step(
                 link_id, state, path_sets, model, generator, config, result,
@@ -328,9 +413,9 @@ def test_optimizer_selects_identical_moves(name):
             )
             assert step.progress == any(score > threshold for score in scores)
             if step.progress:
-                bundle, to_path, flows = moves[scores.index(max(scores))]
-                assert step.moved_aggregate == bundle.aggregate_key
-                assert (step.from_path, step.to_path) == (bundle.path, to_path)
+                key, from_path, to_path, flows = moves[scores.index(max(scores))]
+                assert step.moved_aggregate == key
+                assert (step.from_path, step.to_path) == (from_path, to_path)
                 assert step.num_flows_moved == flows
                 state, result = step.state, step.result
                 steps, escalation = steps + 1, 0

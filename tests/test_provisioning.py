@@ -28,6 +28,7 @@ from repro.runner.registry import SWEEP_PRESETS, get_family, provisioning_sweep_
 from repro.runner.report import format_markdown_report, format_sweep_report
 from repro.runner.spec import CellSpec
 from repro.traffic.matrix import TrafficMatrix
+from repro.trafficmodel.compiled import CompiledModelCache
 from repro.units import kbps, mbps, ms
 from tests.conftest import make_aggregate
 
@@ -195,6 +196,36 @@ class TestGreedyLinkUpgrades:
         step = plan.steps[0]
         link = plan.network.link_by_id(step.link)
         assert link.capacity_bps == pytest.approx(step.new_capacity_bps)
+
+    def test_shared_model_cache_changes_no_field_and_hits(self):
+        """The base run, the probes and every re-optimization draw their
+        engine from the model cache: the plan equals the uncached plan field
+        for field, and a second run on the same cache hits it."""
+        scenario = build_sweep_scenario(
+            topology="hurricane-electric", num_pops=5, provisioning_ratio=0.6, seed=0
+        )
+
+        def plan_with(model_cache):
+            return greedy_link_upgrades(
+                scenario.network,
+                scenario.traffic_matrix,
+                num_upgrades=2,
+                fubar_config=scenario.fubar_config,
+                model_cache=model_cache,
+            )
+
+        uncached = plan_with(None)
+        cache = CompiledModelCache()
+        first = plan_with(cache)
+        assert first.steps and first.as_dict() == uncached.as_dict()
+        assert first.network.capacities() == uncached.network.capacities()
+        networks = 1 + len(first.steps)  # the base and each upgraded one
+        assert cache.stats() == {"hits": 0, "misses": networks, "entries": networks}
+        second = plan_with(cache)
+        assert second.as_dict() == uncached.as_dict()
+        assert cache.stats() == {
+            "hits": networks, "misses": networks, "entries": networks
+        }
 
     def test_validation(self, triangle, triangle_matrix):
         with pytest.raises(ProvisioningError):

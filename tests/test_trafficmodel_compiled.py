@@ -6,10 +6,10 @@ The contract under test (ISSUE 2):
   reference implementation on rates (to floating-point accumulation noise),
   and *exactly* on the semantic fields: satisfied flags, bottleneck links,
   congested links.
-* The delta path (``compile_patched`` + ``solve`` + ``result_of``, the path
-  the candidate scorer runs) agrees **bit for bit** with a full evaluation
-  of the identically-ordered patched bundle list — rates, satisfied flags,
-  bottlenecks, link loads, link demands and aggregate utilities.
+* ``compile_patched`` is ``compile`` of the patched bundle list, and its
+  evaluation agrees **bit for bit** with a full evaluation of that list —
+  rates, satisfied flags, bottlenecks, link loads, link demands and
+  aggregate utilities.
 * ``TrafficModel.evaluate`` (the thin wrapper the rest of the code base
   uses) produces results identical to the engine it delegates to.
 
@@ -150,7 +150,7 @@ def assert_results_close(reference, result):
 
 
 def assert_results_identical(expected, actual):
-    """Bitwise equivalence (the full-vs-delta contract)."""
+    """Bitwise equivalence of two results."""
     assert len(expected.outcomes) == len(actual.outcomes)
     for left, right in zip(expected.outcomes, actual.outcomes):
         assert right.bundle.path == left.bundle.path
@@ -290,93 +290,50 @@ class TestReferenceEquivalence:
 
 class TestDeltaEquivalence:
     @pytest.mark.parametrize("seed", range(20))
-    def test_patched_matches_full_rebuild_bitwise(self, seed):
+    def test_compile_patched_is_compile_of_the_patched_list(self, seed):
+        """``compile_patched`` compiles the base's bundle list with the patch
+        applied: changed rows (a move, a rebuilt utility) stay in place,
+        removed rows are dropped, new rows (a new aggregate) are appended,
+        and removing a row the base does not hold raises."""
         network, bundles = random_scenario(seed)
         rng = np.random.default_rng(1000 + seed)
         engine = CompiledTrafficModel(network)
         compiled = engine.compile(bundles)
         patch = random_patch(rng, bundles)
-        patched = patched_result(engine, compiled, patch)
-        # Full rebuild of the identically-ordered patched bundle list.
-        full = engine.evaluate([outcome.bundle for outcome in patched.outcomes])
-        assert_results_identical(full, patched)
-
-    def test_patch_removes_several_rows(self):
-        """Removed columns are dropped from the base by position; removing
-        several at once, with a change and an addition, must keep the
-        surviving rows in base order."""
-        network, bundles = random_scenario(12)
-        engine = CompiledTrafficModel(network)
-        compiled = engine.compile(bundles)
-        patch = {(b.aggregate_key, b.path): None for b in bundles[::2]}
-        kept = bundles[1]
-        patch[(kept.aggregate_key, kept.path)] = kept.with_num_flows(1)
-        extra = Bundle(
-            aggregate=make_aggregate(
-                kept.path[0], kept.path[-1], num_flows=3, traffic_class="extra"
-            ),
-            path=kept.path,
-            num_flows=3,
-        )
-        patch[(extra.aggregate_key, extra.path)] = extra
-        patched = patched_result(engine, compiled, patch)
-        expected_bundles = [kept.with_num_flows(1)] + bundles[3::2] + [extra]
-        assert [o.bundle for o in patched.outcomes] == expected_bundles
-        assert_results_identical(engine.evaluate(expected_bundles), patched)
-
-    def test_patch_add_new_aggregate(self):
-        network, bundles = random_scenario(4)
-        engine = CompiledTrafficModel(network)
-        compiled = engine.compile(bundles)
-        source, destination = bundles[0].path[0], bundles[0].path[-1]
-        extra = Bundle(
-            aggregate=make_aggregate(
-                source, destination, num_flows=5, traffic_class="extra"
-            ),
-            path=bundles[0].path,
-            num_flows=5,
-        )
-        patched = patched_result(
-            engine, compiled, {(extra.aggregate_key, extra.path): extra}
-        )
-        full = engine.evaluate([outcome.bundle for outcome in patched.outcomes])
-        assert_results_identical(full, patched)
-
-    def test_patch_with_changed_utility_rescores_bandwidth_curve(self):
-        """A replacement bundle carrying a rebuilt utility (different
-        bandwidth peak) must be scored on its own curve, not the cached one."""
-        network, bundles = random_scenario(8)
-        engine = CompiledTrafficModel(network)
-        compiled = engine.compile(bundles)
-        target = bundles[0]
-        rebuilt_aggregate = target.aggregate.with_utility(
+        for bundle in bundles[1::3]:
+            patch.setdefault((bundle.aggregate_key, bundle.path), None)
+        target = bundles[-1]
+        rebuilt = target.aggregate.with_utility(
             target.aggregate.utility.with_demand(
                 target.aggregate.utility.demand_bps * 3.0
             )
         )
-        replacement = Bundle(
-            aggregate=rebuilt_aggregate,
+        patch.setdefault(
+            (target.aggregate_key, target.path),
+            Bundle(aggregate=rebuilt, path=target.path, num_flows=target.num_flows),
+        )
+        extra = Bundle(
+            aggregate=make_aggregate(
+                target.path[0], target.path[-1], num_flows=3, traffic_class="extra"
+            ),
             path=target.path,
-            num_flows=target.num_flows,
+            num_flows=3,
         )
-        patch = {(target.aggregate_key, target.path): replacement}
-        patched_compiled = engine.compile_patched(compiled, patch)
-        solution = engine.solve(patched_compiled)
-        fast_score = engine.weighted_utility(patched_compiled, solution.rates)
-        patched_result = engine.result_of(patched_compiled, solution)
-        assert fast_score == pytest.approx(
-            patched_result.network_utility(), rel=1e-12
-        )
-        full = engine.evaluate(list(patched_compiled.bundles))
-        assert_results_identical(full, patched_result)
+        patch[(extra.aggregate_key, extra.path)] = extra
+        expected = [
+            patch.get((bundle.aggregate_key, bundle.path), bundle)
+            for bundle in bundles
+        ]
+        expected = [bundle for bundle in expected if bundle is not None] + [extra]
 
-    def test_patch_remove_unknown_bundle_rejected(self):
-        network, bundles = random_scenario(5)
-        engine = CompiledTrafficModel(network)
-        compiled = engine.compile(bundles)
-        missing_key = (("nope", "nah", "bulk"), ("nope", "nah"))
+        patched = engine.compile_patched(compiled, patch)
+        assert list(patched.bundles) == expected
+        assert_results_identical(
+            engine.evaluate(expected), engine.result_of(patched, engine.solve(patched))
+        )
+        missing = (("nope", "nah", "bulk"), ("nope", "nah"))
         with pytest.raises(TrafficModelError):
-            engine.compile_patched(compiled, {missing_key: None})
+            engine.compile_patched(compiled, {missing: None})
 
     def test_wrapper_matches_engine(self):
         network, bundles = random_scenario(6)
