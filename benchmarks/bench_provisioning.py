@@ -20,13 +20,18 @@ evaluations than one restarted from shortest paths.  Three gates:
         --output BENCH_provisioning.json
 
 The pytest entry point runs the same comparison at reduced scale inside the
-CI bench-smoke job, so a regression in any gate fails the build.
+CI bench-smoke job, so a regression in any gate fails the build.  The
+committed record is at that same reduced scale, so the pytest run also
+compares its record with the committed one field for field (floats to 1e-12
+relative, ``platform`` aside): a record that no longer matches the code
+fails the build instead of going stale.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -199,6 +204,60 @@ def _assert_acceptance(record: Dict) -> None:
     ), "a committed upgrade lost utility"
 
 
+#: Record fields that describe the host rather than the code's results.
+HOST_FIELDS = frozenset({"platform"})
+
+#: Relative tolerance of float fields in the committed-record comparison.
+RECORD_FLOAT_RTOL = 1e-12
+
+
+def _first_difference(committed, fresh, field: str = "") -> Optional[str]:
+    """The first field (dotted path) where *fresh* departs from *committed*,
+    or ``None`` when they agree.
+
+    Integers, booleans, strings and nulls must be equal; floats must match
+    within :data:`RECORD_FLOAT_RTOL` relative.  Top-level
+    :data:`HOST_FIELDS` are skipped.
+    """
+    if isinstance(committed, dict) and isinstance(fresh, dict):
+        for key in list(committed) + [key for key in fresh if key not in committed]:
+            if not field and key in HOST_FIELDS:
+                continue
+            path = f"{field}.{key}" if field else key
+            if key not in committed or key not in fresh:
+                return path
+            found = _first_difference(committed[key], fresh[key], path)
+            if found is not None:
+                return found
+        return None
+    if isinstance(committed, list) and isinstance(fresh, list):
+        if len(committed) != len(fresh):
+            return field
+        for index, pair in enumerate(zip(committed, fresh)):
+            found = _first_difference(*pair, f"{field}[{index}]")
+            if found is not None:
+                return found
+        return None
+    if type(committed) is not type(fresh):
+        return field
+    if isinstance(committed, float):
+        close = math.isclose(committed, fresh, rel_tol=RECORD_FLOAT_RTOL, abs_tol=0.0)
+        return None if close else field
+    return None if committed == fresh else field
+
+
+def _assert_matches_committed(record: Dict, path: Path = BENCH_JSON_PATH) -> None:
+    """The rerun at the committed record's scale must reproduce it."""
+    committed = json.loads(path.read_text(encoding="utf-8"))
+    fresh = json.loads(json.dumps(record))
+    field = _first_difference(committed, fresh)
+    assert field is None, (
+        f"{path.name} is stale at {field!r}: the rerun no longer reproduces "
+        f"the committed record; regenerate it with "
+        f"`PYTHONPATH=src python -m benchmarks.bench_provisioning`"
+    )
+
+
 def _print_record(record: Dict) -> None:
     print_header("Capacity planning: warm-started bisection vs cold restarts")
     comparison = record["comparison"]
@@ -243,10 +302,12 @@ def _print_record(record: Dict) -> None:
 
 def test_provisioning_warm_bisection(benchmark):
     """CI smoke gate: warm bisection cheaper, frontier identical + monotone,
-    survivable capacity at or above the failure-free minimum."""
+    survivable capacity at or above the failure-free minimum, and the
+    committed record reproduced field for field."""
     record = run_once(benchmark, measure_provisioning)
     _print_record(record)
     _assert_acceptance(record)
+    _assert_matches_committed(record)
 
 
 # -------------------------------------------------------------------- main

@@ -11,6 +11,12 @@ An AST-based linter with project-specific rules, in three tiers:
   (ASY101), worker-safe module state (MP101), dead public functions
   (DEAD101).
 
+Each file is read and parsed once per run.  Its per-function summary
+(:mod:`repro.analysis.summaries`, cached by content sha) is the one import
+resolver and call classifier: the whole-program tier builds its call graph
+from it, and DET001, DET003 and MP001 read the entropy sites and pickle-unsafe
+submissions it records; DET002 and EXC001 walk the tree.
+
 Inline suppressions use ``# repro: allow[CODE] — justification`` and are
 themselves checked for staleness (SUP001) and missing justifications
 (SUP002).

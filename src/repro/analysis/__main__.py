@@ -51,14 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for per-file analysis (default: CPU count; "
-        "1 forces serial)",
-    )
-    parser.add_argument(
         "--config",
         metavar="PATH",
         default=None,
@@ -152,7 +144,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = analyze_paths(
             args.paths,
             select=select,
-            jobs=args.jobs,
             config=config,
             summary_cache_dir=cache_dir,
             changed_only=args.changed_only,
@@ -167,7 +158,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 report = analyze_paths(
                     args.paths,
                     select=select,
-                    jobs=args.jobs,
                     config=config,
                     summary_cache_dir=cache_dir,
                     changed_only=args.changed_only,

@@ -3,8 +3,9 @@
 A :class:`Rule` inspects one parsed module (:class:`ModuleContext`) — or,
 for project-scoped rules, every parsed module at once — and yields
 :class:`Violation` records.  Rules never mutate anything and never execute
-the code under analysis; everything is derived from the AST and the raw
-source lines, so analysis is safe to run on arbitrary trees.
+the code under analysis; everything is derived from the AST, the module's
+summary and the raw source lines, so analysis is safe to run on arbitrary
+trees.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.callgraph import ProgramModel
     from repro.analysis.config import AnalysisConfig
+    from repro.analysis.summaries import ModuleSummary
 
-#: Rules that look at one file at a time (run in parallel across files).
+#: Rules that look at one file at a time (its tree and its summary).
 FILE_SCOPE = "file"
 
 #: Rules that need every parsed module at once (run once, in-process).
@@ -55,12 +57,14 @@ class Violation:
 
 @dataclass
 class ModuleContext:
-    """A parsed module handed to rules: path, source text, AST, and lines."""
+    """A parsed module handed to rules: path, source text, AST, lines, and
+    the module's summary (attached by the walker)."""
 
     path: str
     source: str
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
+    summary: Optional["ModuleSummary"] = None
 
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleContext":

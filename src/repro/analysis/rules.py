@@ -34,6 +34,10 @@ Every rule here guards an invariant the repo's correctness story depends on
   exception, log, or record an error — never just ``pass``/``continue``/
   ``return None``.  (``FileNotFoundError`` alone is a legitimate cache
   miss and is not flagged.)
+
+DET001, DET003 and MP001 read the facts :mod:`repro.analysis.summaries`
+extracts for every call of the module (entropy sites and pickle-unsafe
+submissions); DET002 and EXC001 walk the tree.
 """
 
 from __future__ import annotations
@@ -41,129 +45,75 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from typing import Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import (
     PROJECT_SCOPE,
     ModuleContext,
     Rule,
     Violation,
-    call_name,
     terminal_name,
 )
 from repro.analysis.registry import register_rule
-
-# --------------------------------------------------------------------------
-# shared AST helpers
-# --------------------------------------------------------------------------
-
-#: numpy.random attributes that are *constructors for seeded RNGs*, not the
-#: legacy global API.
-_NP_RANDOM_CONSTRUCTORS = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-    }
+from repro.analysis.summaries import (
+    ModuleSummary,
+    module_name_for,
+    source_sha,
+    summarize_module,
 )
 
-#: Bit-generator / seed constructors that DET003 checks for a missing seed.
-_SEEDED_CONSTRUCTORS = frozenset(
-    {"default_rng", "SeedSequence", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
-)
-
-_TIME_ENTROPY_FUNCTIONS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-    }
-)
-
-
-class _ImportTracker(ast.NodeVisitor):
-    """Resolve local aliases of the modules the rules care about."""
-
-    def __init__(self) -> None:
-        #: local alias -> canonical module path ("numpy", "random", ...)
-        self.module_aliases: Dict[str, str] = {}
-        #: names imported *from* random ("from random import choice")
-        self.random_names: Set[str] = set()
-        #: names imported from functools ("partial")
-        self.functools_names: Set[str] = set()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            root = alias.name.split(".")[0]
-            if root in {"numpy", "random", "os", "time", "functools", "json"}:
-                # "import numpy.random as npr" binds the full dotted path.
-                target = alias.name if alias.asname else root
-                self.module_aliases[local] = target
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            for alias in node.names:
-                self.random_names.add(alias.asname or alias.name)
-        elif node.module == "functools":
-            for alias in node.names:
-                self.functools_names.add(alias.asname or alias.name)
-        elif node.module in {"numpy", "numpy.random"}:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                if node.module == "numpy" and alias.name == "random":
-                    self.module_aliases[local] = "numpy.random"
-                elif node.module == "numpy.random":
-                    self.module_aliases[local] = f"numpy.random.{alias.name}"
-
-
-def _resolve_dotted(name: Optional[str], imports: _ImportTracker) -> Optional[str]:
-    """Canonicalize a dotted call name through the module's import aliases.
-
-    ``np.random.choice`` → ``numpy.random.choice`` when ``np`` aliases
-    numpy; returns the input unchanged when no alias applies.
-    """
-    if name is None:
-        return None
-    head, _, tail = name.partition(".")
-    canonical_head = imports.module_aliases.get(head)
-    if canonical_head is None:
-        return name
-    return f"{canonical_head}.{tail}" if tail else canonical_head
-
-
-def _iter_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
-def _enclosing_function_names(tree: ast.Module) -> Dict[int, str]:
-    """Map every AST node id to the name of its innermost enclosing function."""
-    owner: Dict[int, str] = {}
-
-    def assign(node: ast.AST, name: str) -> None:
-        for child in ast.walk(node):
-            owner.setdefault(id(child), name)
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            assign(node, node.name)
-    return owner
-
-
 # --------------------------------------------------------------------------
-# DET001 — unseeded entropy
+# summary-based rules: DET001, DET003, MP001
 # --------------------------------------------------------------------------
+
+
+def _summary(module: ModuleContext) -> ModuleSummary:
+    """The module's summary: attached by the walker, else summarized here."""
+    if module.summary is None:
+        path = Path(module.path)
+        module.summary = summarize_module(
+            module.path,
+            module.tree,
+            module_name_for(path),
+            source_sha(module.source),
+            is_package=path.name == "__init__.py",
+        )
+    return module.summary
+
+
+def _entropy_violations(
+    module: ModuleContext, code: str, messages: Mapping[str, str]
+) -> Iterator[Violation]:
+    """One violation per entropy site of *module* whose kind *messages* names."""
+    for function in _summary(module).functions:
+        for site in function.entropy_sites:
+            if site.kind in messages:
+                message = messages[site.kind].format(name=site.name)
+                yield Violation(module.path, site.line, site.column, code, message)
+
+
+#: DET001 messages by entropy-site kind.
+_ENTROPY_MESSAGES: Mapping[str, str] = {
+    "stdlib-random": "call to the process-global stdlib RNG {name}; draw from "
+    "an explicitly seeded np.random.Generator instead",
+    "numpy-global": "call to the legacy numpy global RNG {name}; use a seeded "
+    "np.random.Generator",
+    "os-entropy": "os.urandom draws OS entropy; results cannot be regenerated",
+    "salted-hash": "builtin hash() is salted per process for str "
+    "(PYTHONHASHSEED); use hashlib for any value that feeds results or cache "
+    "keys",
+    "clock-seed": "{name}() used as a seed; seeds must come from a config/spec "
+    "field so runs are regenerable",
+}
+
+#: DET003 messages by entropy-site kind.
+_UNSEEDED_MESSAGES: Mapping[str, str] = {
+    "no-seed": "{name}() without a seed draws OS entropy; pass a seed derived "
+    "from a config/spec field",
+    "none-seed": "{name}(None) is explicitly unseeded; pass a seed derived "
+    "from a config/spec field",
+}
 
 
 @register_rule
@@ -175,81 +125,40 @@ class UnseededEntropyRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
-        imports = _ImportTracker()
-        imports.visit(module.tree)
-        function_of = _enclosing_function_names(module.tree)
-        for node in _iter_calls(module.tree):
-            dotted = _resolve_dotted(call_name(node.func), imports)
-            if dotted is None:
-                continue
-            violation = self._classify(node, dotted, imports, function_of)
-            if violation is not None:
-                yield module.violation(node, self.code, violation)
-            yield from self._seed_context_violations(module, node, dotted, imports)
+        return _entropy_violations(module, self.code, _ENTROPY_MESSAGES)
 
-    def _classify(
-        self,
-        node: ast.Call,
-        dotted: str,
-        imports: _ImportTracker,
-        function_of: Dict[int, str],
-    ) -> Optional[str]:
-        head, _, tail = dotted.partition(".")
-        if head == "random" and tail:
-            return (
-                f"call to the process-global stdlib RNG random.{tail}; draw from "
-                f"an explicitly seeded np.random.Generator instead"
-            )
-        if dotted in imports.random_names and not tail:
-            return (
-                f"call to stdlib random.{dotted} (imported from random); draw "
-                f"from an explicitly seeded np.random.Generator instead"
-            )
-        if dotted.startswith("numpy.random."):
-            function = dotted.rsplit(".", 1)[1]
-            if function not in _NP_RANDOM_CONSTRUCTORS:
-                return (
-                    f"call to the legacy numpy global RNG np.random.{function}; "
-                    f"use a seeded np.random.Generator"
+
+@register_rule
+class UnseededGeneratorRule(Rule):
+    code = "DET003"
+    summary = (
+        "np.random RNG constructed without a seed (default_rng()/SeedSequence()/"
+        "bit generators with no argument fall back to OS entropy)"
+    )
+
+    def check(self, module: ModuleContext) -> Iterator[Violation]:
+        return _entropy_violations(module, self.code, _UNSEEDED_MESSAGES)
+
+
+@register_rule
+class PickleUnsafeCallableRule(Rule):
+    code = "MP001"
+    summary = (
+        "pickle-unsafe callable (lambda / nested function / self-bound method) "
+        "submitted to a worker pool or Process"
+    )
+
+    def check(self, module: ModuleContext) -> Iterator[Violation]:
+        for function in _summary(module).functions:
+            for site in function.unsafe_submissions:
+                yield Violation(
+                    module.path,
+                    site.line,
+                    site.column,
+                    self.code,
+                    f"{site.name} handed to {site.kind} cannot be pickled by a "
+                    f"spawn-based worker; move it to module level",
                 )
-        if dotted == "os.urandom":
-            return "os.urandom draws OS entropy; results cannot be regenerated"
-        if dotted == "hash" and isinstance(node.func, ast.Name):
-            if function_of.get(id(node)) == "__hash__":
-                return None  # in-process identity only; never persisted
-            return (
-                "builtin hash() is salted per process for str (PYTHONHASHSEED); "
-                "use hashlib for any value that feeds results or cache keys"
-            )
-        return None
-
-    def _seed_context_violations(
-        self,
-        module: ModuleContext,
-        node: ast.Call,
-        dotted: str,
-        imports: _ImportTracker,
-    ) -> Iterator[Violation]:
-        """Flag wall-clock time flowing into a seed position of *node*."""
-        function = dotted.rsplit(".", 1)[-1]
-        seed_arguments: List[ast.AST] = []
-        if function in _SEEDED_CONSTRUCTORS or function == "Generator":
-            seed_arguments.extend(node.args)
-        seed_arguments.extend(
-            keyword.value
-            for keyword in node.keywords
-            if keyword.arg is not None and "seed" in keyword.arg.lower()
-        )
-        for argument in seed_arguments:
-            for inner in _iter_calls(argument):
-                inner_dotted = _resolve_dotted(call_name(inner.func), imports)
-                if inner_dotted in _TIME_ENTROPY_FUNCTIONS:
-                    yield module.violation(
-                        inner,
-                        self.code,
-                        f"{inner_dotted}() used as a seed; seeds must come from "
-                        f"a config/spec field so runs are regenerable",
-                    )
 
 
 # --------------------------------------------------------------------------
@@ -437,158 +346,6 @@ class UnorderedIterationRule(Rule):
             yield module.violation(
                 node.value, self.code, self._message(node.value, "unpacking")
             )
-
-
-# --------------------------------------------------------------------------
-# DET003 — RNG constructed without a seed
-# --------------------------------------------------------------------------
-
-
-@register_rule
-class UnseededGeneratorRule(Rule):
-    code = "DET003"
-    summary = (
-        "np.random RNG constructed without a seed (default_rng()/SeedSequence()/"
-        "bit generators with no argument fall back to OS entropy)"
-    )
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        imports = _ImportTracker()
-        imports.visit(module.tree)
-        for node in _iter_calls(module.tree):
-            dotted = _resolve_dotted(call_name(node.func), imports)
-            if dotted is None:
-                continue
-            function = dotted.rsplit(".", 1)[-1]
-            if function not in _SEEDED_CONSTRUCTORS:
-                continue
-            if not (dotted.startswith("numpy.random") or dotted == function):
-                continue
-            seed_keywords = [
-                keyword for keyword in node.keywords if keyword.arg == "seed"
-            ]
-            candidates: List[ast.AST] = list(node.args[:1]) + [
-                keyword.value for keyword in seed_keywords
-            ]
-            if not candidates:
-                yield module.violation(
-                    node,
-                    self.code,
-                    f"{function}() without a seed draws OS entropy; pass a seed "
-                    f"derived from a config/spec field",
-                )
-                continue
-            for candidate in candidates:
-                if isinstance(candidate, ast.Constant) and candidate.value is None:
-                    yield module.violation(
-                        node,
-                        self.code,
-                        f"{function}(None) is explicitly unseeded; pass a seed "
-                        f"derived from a config/spec field",
-                    )
-
-
-# --------------------------------------------------------------------------
-# MP001 — pickle-unsafe callables crossing a process boundary
-# --------------------------------------------------------------------------
-
-#: Attribute methods that submit a positional callable to a pool.
-_POOL_SUBMIT_METHODS = frozenset(
-    {
-        "submit",
-        "apply",
-        "apply_async",
-        "map",
-        "map_async",
-        "imap",
-        "imap_unordered",
-        "starmap",
-        "starmap_async",
-    }
-)
-
-#: Keyword arguments that carry a callable across a process boundary.
-_CALLABLE_KEYWORDS = frozenset({"target", "initializer", "func"})
-
-
-@register_rule
-class PickleUnsafeCallableRule(Rule):
-    code = "MP001"
-    summary = (
-        "pickle-unsafe callable (lambda / nested function / self-bound method) "
-        "submitted to a worker pool or Process"
-    )
-
-    def check(self, module: ModuleContext) -> Iterator[Violation]:
-        nested = self._nested_callable_names(module.tree)
-        for node in _iter_calls(module.tree):
-            for candidate, context in self._submitted_callables(node):
-                problem = self._problem(candidate, nested)
-                if problem is not None:
-                    yield module.violation(
-                        candidate,
-                        self.code,
-                        f"{problem} handed to {context} cannot be pickled by a "
-                        f"spawn-based worker; move it to module level",
-                    )
-
-    def _nested_callable_names(self, tree: ast.Module) -> FrozenSet[str]:
-        """Names of functions defined inside another function, plus names
-        bound to lambdas anywhere."""
-        names: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for child in ast.walk(node):
-                    if child is node:
-                        continue
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        names.add(child.name)
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return frozenset(names)
-
-    def _submitted_callables(
-        self, node: ast.Call
-    ) -> Iterator[Tuple[ast.AST, str]]:
-        method = terminal_name(node.func)
-        if (
-            isinstance(node.func, ast.Attribute)
-            and method in _POOL_SUBMIT_METHODS
-            and self._looks_like_pool(node.func.value)
-            and node.args
-        ):
-            yield node.args[0], f"{method}()"
-        constructor = terminal_name(node.func)
-        for keyword in node.keywords:
-            if keyword.arg in _CALLABLE_KEYWORDS:
-                if keyword.arg == "func" and constructor not in _POOL_SUBMIT_METHODS:
-                    continue
-                yield keyword.value, f"{constructor}({keyword.arg}=...)"
-
-    def _looks_like_pool(self, receiver: ast.AST) -> bool:
-        name = (terminal_name(receiver) or "").lower()
-        return any(hint in name for hint in ("pool", "executor", "worker"))
-
-    def _problem(
-        self, candidate: ast.AST, nested: FrozenSet[str]
-    ) -> Optional[str]:
-        if isinstance(candidate, ast.Lambda):
-            return "lambda"
-        if isinstance(candidate, ast.Name) and candidate.id in nested:
-            return f"nested function {candidate.id!r}"
-        if (
-            isinstance(candidate, ast.Attribute)
-            and isinstance(candidate.value, ast.Name)
-            and candidate.value.id == "self"
-        ):
-            return f"bound method self.{candidate.attr}"
-        if isinstance(candidate, ast.Call):
-            inner = terminal_name(candidate.func)
-            if inner == "partial" and candidate.args:
-                return self._problem(candidate.args[0], nested)
-        return None
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,12 @@ forward abstract interpretation per function: names map to *may-derive*
 sets of parameters and call indices, iterated to a fixpoint so loops and
 re-assignments over-approximate instead of missing flows.
 
+The same pass records the facts the per-file rules read: entropy sites
+(DET001, DET003) and pickle-unsafe pool submissions (MP001).  Those cover
+every call in the file — including class bodies, decorators, defaults and
+definitions nested in compound statements, which the dataflow scopes skip —
+so each call is classified once, by one import resolver.
+
 Summaries are pure data (plain tuples of frozen dataclasses) so they
 serialize to JSON; :class:`SummaryCache` keys them by a content hash of the
 source, which makes warm whole-program runs re-summarize only changed
@@ -20,39 +26,51 @@ files.
 from __future__ import annotations
 
 import ast
+import collections
 import hashlib
 import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.analysis.base import call_name, terminal_name
 
 LOGGER = logging.getLogger(__name__)
 
 #: Bump when the summary data model changes; stale cache files are ignored.
-SUMMARY_SCHEMA_VERSION = 1
+SUMMARY_SCHEMA_VERSION = 2
 
 #: Synthetic function name holding a module's import-time statements.
 MODULE_BODY = "<module>"
 
-#: Terminal names of RNG constructors (numpy and stdlib).
-RNG_CONSTRUCTOR_TERMINALS = frozenset(
-    {
-        "default_rng",
-        "Generator",
-        "RandomState",
-        "Random",
-        "SystemRandom",
-        "SeedSequence",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-    }
+#: numpy constructors whose first argument is the seed; without one they
+#: draw OS entropy (DET003).
+_SEEDABLE_TERMINALS = frozenset(
+    {"default_rng", "SeedSequence", "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"}
 )
+
+#: Terminal names of RNG constructors (numpy and stdlib).
+RNG_CONSTRUCTOR_TERMINALS = _SEEDABLE_TERMINALS | {
+    "Generator",
+    "RandomState",
+    "Random",
+    "SystemRandom",
+}
+
+#: ``numpy.random`` attributes that are not the legacy global RNG.
+_NUMPY_RNG_TYPES = _SEEDABLE_TERMINALS | {"Generator", "BitGenerator"}
 
 #: Canonical prefixes an RNG constructor must live under to count.
 _RNG_MODULE_PREFIXES = ("numpy.random", "random", "numpy")
@@ -360,6 +378,12 @@ class FunctionSummary:
     global_writes: Tuple[SiteFact, ...] = ()
     store_sites: Tuple[StoreSite, ...] = ()
     references: Tuple[str, ...] = ()
+    #: Entropy draws and unseeded RNG constructions (DET001, DET003):
+    #: ``name`` is the canonical call, ``kind`` says which.
+    entropy_sites: Tuple[SiteFact, ...] = ()
+    #: Pickle-unsafe callables handed to a pool or process (MP001): ``name``
+    #: describes the callable, ``kind`` the call it is handed to.
+    unsafe_submissions: Tuple[SiteFact, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -377,6 +401,10 @@ class FunctionSummary:
             "global_writes": [site.to_dict() for site in self.global_writes],
             "store_sites": [site.to_dict() for site in self.store_sites],
             "references": list(self.references),
+            "entropy_sites": [site.to_dict() for site in self.entropy_sites],
+            "unsafe_submissions": [
+                site.to_dict() for site in self.unsafe_submissions
+            ],
         }
 
     @classmethod
@@ -416,6 +444,14 @@ class FunctionSummary:
                 for site in data["store_sites"]  # type: ignore[union-attr]
             ),
             references=tuple(str(n) for n in data["references"]),  # type: ignore[union-attr]
+            entropy_sites=tuple(
+                SiteFact.from_dict(site)
+                for site in data["entropy_sites"]  # type: ignore[union-attr]
+            ),
+            unsafe_submissions=tuple(
+                SiteFact.from_dict(site)
+                for site in data["unsafe_submissions"]  # type: ignore[union-attr]
+            ),
         )
 
 
@@ -633,6 +669,16 @@ def _looks_poolish(receiver: str) -> bool:
     return any(fragment in lowered for fragment in _POOLISH_FRAGMENTS)
 
 
+def _is_rng_constructor(target: str, shadowed: FrozenSet[str] = frozenset()) -> bool:
+    """An RNG constructor under numpy/random, or a bare constructor name
+    outside *shadowed*."""
+    terminal = target.rsplit(".", 1)[-1]
+    return terminal in RNG_CONSTRUCTOR_TERMINALS and (
+        (target == terminal and target not in shadowed)
+        or any(target.startswith(prefix + ".") for prefix in _RNG_MODULE_PREFIXES)
+    )
+
+
 def _constant_mode_is_write_only(call: ast.Call) -> bool:
     """True for ``open(path, "w")``-style calls (a write, not an ambient read)."""
     mode: Optional[str] = None
@@ -648,6 +694,159 @@ def _constant_mode_is_write_only(call: ast.Call) -> bool:
     return any(flag in mode for flag in "wax") and "+" not in mode
 
 
+class _FileFacts:
+    """Entropy sites and pickle-unsafe submissions, classified per call.
+
+    Needs no dataflow: a call is judged by its canonical target and its
+    literal arguments, so the same classifier covers function bodies and
+    the import-time code around them.
+    """
+
+    def __init__(self, imports: _ImportMap, nested_callables: FrozenSet[str]) -> None:
+        self._imports = imports
+        self._nested = nested_callables
+
+    def collect(
+        self,
+        roots: Sequence[ast.AST],
+        summarized: FrozenSet[int],
+        outermost: Optional[str],
+    ) -> Tuple[Tuple[SiteFact, ...], Tuple[SiteFact, ...]]:
+        """Facts of every call under *roots* outside the bodies of the
+        *summarized* definitions (ids), which report their own.
+
+        *outermost* names the outermost function enclosing *roots*; a
+        ``hash()`` inside a ``__hash__`` is in-process identity, not entropy.
+        """
+        entropy: Set[SiteFact] = set()
+        unsafe: Set[SiteFact] = set()
+        stack: List[Tuple[ast.AST, Optional[str]]] = [
+            (root, outermost) for root in roots
+        ]
+        while stack:
+            node, enclosing = stack.pop()
+            children: List[ast.AST] = list(ast.iter_child_nodes(node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing = enclosing or node.name
+                if id(node) in summarized:  # its body is summarized on its own
+                    children = [*node.decorator_list, node.args]
+                    if node.returns is not None:
+                        children.append(node.returns)
+            elif isinstance(node, ast.Call):
+                self._entropy(node, enclosing, entropy)
+                self._unsafe_submissions(node, unsafe)
+            stack.extend((child, enclosing) for child in children)
+        return tuple(sorted(entropy, key=_fact_order)), tuple(
+            sorted(unsafe, key=_fact_order)
+        )
+
+    def _canonical(self, func: ast.AST) -> Optional[str]:
+        dotted = _dotted_path(func)
+        return None if dotted is None else self._imports.canonical(dotted)
+
+    def _entropy(
+        self, node: ast.Call, enclosing: Optional[str], entropy: Set[SiteFact]
+    ) -> None:
+        target = self._canonical(node.func)
+        if target is None:
+            return
+        head, _, tail = target.partition(".")
+        terminal = target.rsplit(".", 1)[-1]
+        kind: Optional[str] = None
+        if head == "random" and tail:
+            kind = "stdlib-random"
+        elif target.startswith("numpy.random.") and terminal not in _NUMPY_RNG_TYPES:
+            kind = "numpy-global"
+        elif target == "os.urandom":
+            kind = "os-entropy"
+        elif (
+            target == "hash"
+            and isinstance(node.func, ast.Name)
+            and enclosing != "__hash__"
+        ):
+            kind = "salted-hash"
+        if kind is not None:
+            entropy.add(_site(target, kind, node))
+
+        # The wall clock in a seed position: a seedable constructor's
+        # arguments, or any ``*seed*=`` keyword.
+        seed_values: List[ast.expr] = []
+        if terminal in _SEEDABLE_TERMINALS or terminal == "Generator":
+            seed_values.extend(node.args)
+        seed_values.extend(
+            keyword.value
+            for keyword in node.keywords
+            if keyword.arg is not None and "seed" in keyword.arg.lower()
+        )
+        for value in seed_values:
+            for inner in ast.walk(value):
+                if not isinstance(inner, ast.Call):
+                    continue
+                clock = self._canonical(inner.func)
+                if clock is not None and _AMBIENT_CALLS.get(clock) == "clock":
+                    entropy.add(_site(clock, "clock-seed", inner))
+
+        # A seedable constructor given no seed, or a literal None.
+        if terminal in _SEEDABLE_TERMINALS and _is_rng_constructor(target):
+            seeds = [*node.args[:1]] + [
+                keyword.value for keyword in node.keywords if keyword.arg == "seed"
+            ]
+            if not seeds:
+                entropy.add(_site(terminal, "no-seed", node))
+            elif any(
+                isinstance(seed, ast.Constant) and seed.value is None
+                for seed in seeds
+            ):
+                entropy.add(_site(terminal, "none-seed", node))
+
+    def _unsafe_submissions(self, node: ast.Call, unsafe: Set[SiteFact]) -> None:
+        terminal = terminal_name(node.func) or ""
+        handed: List[Tuple[ast.expr, str]] = []
+        if (
+            isinstance(node.func, ast.Attribute)
+            and terminal in _POOL_SUBMIT_TERMINALS
+            and node.args
+            and _looks_poolish(terminal_name(node.func.value) or "")
+        ):
+            handed.append((node.args[0], f"{terminal}()"))
+        for keyword in node.keywords:
+            if keyword.arg in _CALLABLE_KEYWORDS and (
+                keyword.arg != "func" or terminal in _POOL_SUBMIT_TERMINALS
+            ):
+                handed.append((keyword.value, f"{terminal}({keyword.arg}=...)"))
+        for candidate, receiver in handed:
+            problem = self._pickle_problem(candidate)
+            if problem is not None:
+                unsafe.add(_site(problem, receiver, candidate))
+
+    def _pickle_problem(self, candidate: ast.expr) -> Optional[str]:
+        if isinstance(candidate, ast.Lambda):
+            return "lambda"
+        if isinstance(candidate, ast.Name) and candidate.id in self._nested:
+            return f"nested function {candidate.id!r}"
+        if (
+            isinstance(candidate, ast.Attribute)
+            and isinstance(candidate.value, ast.Name)
+            and candidate.value.id == "self"
+        ):
+            return f"bound method self.{candidate.attr}"
+        if (
+            isinstance(candidate, ast.Call)
+            and terminal_name(candidate.func) == "partial"
+            and candidate.args
+        ):
+            return self._pickle_problem(candidate.args[0])
+        return None
+
+
+def _site(name: str, kind: str, node: ast.expr) -> SiteFact:
+    return SiteFact(name, kind, node.lineno, node.col_offset + 1)
+
+
+def _fact_order(fact: SiteFact) -> Tuple[int, int, str, str]:
+    return (fact.line, fact.column, fact.kind, fact.name)
+
+
 class _FunctionSummarizer:
     """Extract one :class:`FunctionSummary` via fixpoint name derivation."""
 
@@ -660,7 +859,8 @@ class _FunctionSummarizer:
         tables: Mapping[str, Tuple[str, ...]],
         class_name: Optional[str],
     ) -> None:
-        self._body = body
+        #: The scope's nodes, walked once and reread by every pass.
+        self._scope = list(_iter_scope(body))
         self._params = tuple(params)
         self._imports = imports
         self._module_level_names = module_level_names
@@ -855,7 +1055,7 @@ class _FunctionSummarizer:
 
     def _collect_calls(self) -> None:
         calls = [
-            node for node in _iter_scope(self._body) if isinstance(node, ast.Call)
+            node for node in self._scope if isinstance(node, ast.Call)
         ]
         calls.sort(key=lambda node: (node.lineno, node.col_offset))
         for index, node in enumerate(calls):
@@ -863,7 +1063,7 @@ class _FunctionSummarizer:
         self._calls_in_order = calls
 
     def _collect_bindings(self) -> None:
-        for node in _iter_scope(self._body):
+        for node in self._scope:
             if isinstance(node, ast.Global):
                 self._global_decls.update(node.names)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -901,7 +1101,7 @@ class _FunctionSummarizer:
     def _propagate(self) -> None:
         for _ in range(4):
             changed = False
-            for node in _iter_scope(self._body):
+            for node in self._scope:
                 if isinstance(node, ast.Assign):
                     flow = self._derive(node.value)
                     for target in node.targets:
@@ -981,12 +1181,7 @@ class _FunctionSummarizer:
 
         # RNG constructions (SEED101).  A bare target only counts when it is
         # not shadowed by a same-named local definition in this module.
-        if terminal in RNG_CONSTRUCTOR_TERMINALS and (
-            (target == terminal and target not in self._module_level_names)
-            or any(
-                target.startswith(prefix + ".") for prefix in _RNG_MODULE_PREFIXES
-            )
-        ):
+        if _is_rng_constructor(target, self._module_level_names):
             seed_node: Optional[ast.AST] = None
             if node.args:
                 seed_node = node.args[0]
@@ -1120,7 +1315,7 @@ class _FunctionSummarizer:
                     )
 
     def _collect_global_writes(self, global_writes: List[SiteFact]) -> None:
-        for node in _iter_scope(self._body):
+        for node in self._scope:
             targets: List[ast.AST] = []
             if isinstance(node, ast.Assign):
                 targets = list(node.targets)
@@ -1164,7 +1359,7 @@ class _FunctionSummarizer:
         """``self._slot[key] = value`` inside a ``*Cache`` class is a store."""
         if not self._class_name or "cache" not in self._class_name.lower():
             return
-        for node in _iter_scope(self._body):
+        for node in self._scope:
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:
@@ -1184,7 +1379,7 @@ class _FunctionSummarizer:
 
     def _collect_name_reads(self, ambient: List[SiteFact]) -> None:
         seen: Set[Tuple[str, int]] = set()
-        for node in _iter_scope(self._body):
+        for node in self._scope:
             if not isinstance(node, ast.Attribute):
                 continue
             dotted = _dotted_path(node)
@@ -1200,7 +1395,12 @@ class _FunctionSummarizer:
             )
 
     def summarize(
-        self, qualname: str, name: str, line: int, references: Sequence[str]
+        self,
+        qualname: str,
+        name: str,
+        line: int,
+        references: Sequence[str],
+        facts: Tuple[Tuple[SiteFact, ...], Tuple[SiteFact, ...]],
     ) -> FunctionSummary:
         self._collect_calls()
         self._collect_bindings()
@@ -1263,6 +1463,8 @@ class _FunctionSummarizer:
             global_writes=tuple(global_writes),
             store_sites=tuple(stores),
             references=tuple(sorted(set(references))),
+            entropy_sites=facts[0],
+            unsafe_submissions=facts[1],
         )
 
 
@@ -1316,20 +1518,57 @@ def _callable_table_members(
     return tuple(members)
 
 
-def summarize_module(
-    display_path: str,
-    source: str,
-    module_name: str,
-    is_package: bool = False,
-) -> ModuleSummary:
-    """Summarize one module's source (raises :class:`SyntaxError` if unparsable)."""
-    tree = ast.parse(source, filename=display_path)
-    imports = _ImportMap(module_name, is_package)
-    for node in ast.walk(tree):
+def _scan_module(tree: ast.Module, imports: _ImportMap) -> FrozenSet[str]:
+    """Record every import in *imports*; return the nested-callable names.
+
+    Those are functions defined inside another function, plus names bound to
+    a lambda anywhere: neither pickles by reference.  The walk is
+    breadth-first, like :func:`ast.walk`, so a name imported twice resolves
+    to the later binding in that order.
+    """
+    nested: Set[str] = set()
+    todo: "collections.deque[Tuple[ast.AST, bool]]" = collections.deque(
+        [(tree, False)]
+    )
+    while todo:
+        node, in_function = todo.popleft()
         if isinstance(node, ast.Import):
             imports.add_import(node)
         elif isinstance(node, ast.ImportFrom):
             imports.add_import_from(node)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+            nested.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if in_function:
+                nested.add(node.name)
+            in_function = True
+        todo.extend((child, in_function) for child in ast.iter_child_nodes(node))
+    return frozenset(nested)
+
+
+_Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+
+def _definitions(body: Sequence[ast.stmt]) -> List[_Definition]:
+    return [
+        node
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def summarize_module(
+    display_path: str,
+    tree: ast.Module,
+    module_name: str,
+    sha: str,
+    is_package: bool = False,
+) -> ModuleSummary:
+    """Summarize one parsed module; *sha* is its source's :func:`source_sha`."""
+    imports = _ImportMap(module_name, is_package)
+    nested_callables = _scan_module(tree, imports)
 
     module_level: Set[str] = set()
     tables: Dict[str, Tuple[str, ...]] = {}
@@ -1354,14 +1593,16 @@ def summarize_module(
             module_level.add(node.target.id)
 
     frozen_module_level = frozenset(module_level)
+    file_facts = _FileFacts(imports, nested_callables)
 
     def summarize_function(
-        node: ast.AST,
+        node: _Definition,
         qual_prefix: str,
         class_name: Optional[str],
+        outermost: Optional[str],
     ) -> None:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         qualname = f"{qual_prefix}{node.name}" if qual_prefix else node.name
+        enclosing = outermost or node.name
         params = _function_params(node)
         summarizer = _FunctionSummarizer(
             node.body,
@@ -1376,22 +1617,25 @@ def summarize_module(
         ):
             summarizer.annotate_param_type(arg.arg, arg.annotation)
         references = _references_in(list(node.body), skip_imports=True)
-        functions.append(
-            summarizer.summarize(qualname, node.name, node.lineno, references)
+        nested = _definitions(node.body)
+        facts = file_facts.collect(
+            node.body, frozenset(map(id, nested)), enclosing
         )
-        for child in node.body:
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                summarize_function(child, f"{qualname}.", class_name)
+        functions.append(
+            summarizer.summarize(qualname, node.name, node.lineno, references, facts)
+        )
+        for child in nested:
+            summarize_function(child, f"{qualname}.", class_name, enclosing)
 
+    methods: List[_Definition] = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summarize_function(node, "", None)
+            summarize_function(node, "", None, None)
         elif isinstance(node, ast.ClassDef):
-            method_names: List[str] = []
-            for child in node.body:
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    method_names.append(child.name)
-                    summarize_function(child, f"{node.name}.", node.name)
+            class_methods = _definitions(node.body)
+            methods.extend(class_methods)
+            for child in class_methods:
+                summarize_function(child, f"{node.name}.", node.name, None)
             bases: List[str] = []
             for base in node.bases:
                 dotted = _dotted_path(base)
@@ -1402,7 +1646,7 @@ def summarize_module(
                     name=node.name,
                     line=node.lineno,
                     bases=tuple(bases),
-                    methods=tuple(method_names),
+                    methods=tuple(method.name for method in class_methods),
                 )
             )
 
@@ -1438,19 +1682,23 @@ def summarize_module(
     body_summarizer = _FunctionSummarizer(
         body_statements, [], imports, frozen_module_level, tables, None
     )
+    # The module body's facts also cover that import-time code and any
+    # definition the loops above do not summarize.
+    summarized = frozenset(map(id, _definitions(tree.body) + methods))
     functions.append(
         body_summarizer.summarize(
             MODULE_BODY,
             MODULE_BODY,
             1,
             _references_in(module_refs, skip_imports=True),
+            file_facts.collect(tree.body, summarized, None),
         )
     )
 
     return ModuleSummary(
         module=module_name,
         path=display_path,
-        sha=source_sha(source),
+        sha=sha,
         imports=tuple(imports.items()),
         classes=tuple(classes),
         callable_tables=tuple(sorted(tables.items())),
@@ -1496,12 +1744,13 @@ class SummaryCache:
             self._entries = {str(key): value for key, value in entries.items()}
 
     def get(
-        self, display_path: str, source: str, module_name: str
+        self, display_path: str, sha: str, module_name: str
     ) -> Optional[ModuleSummary]:
+        """The cached summary of *display_path* if its source sha is *sha*."""
         entry = self._entries.get(display_path)
         if entry is None:
             return None
-        if entry.get("sha") != source_sha(source):
+        if entry.get("sha") != sha:
             return None
         if entry.get("module") != module_name:
             return None

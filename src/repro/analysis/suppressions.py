@@ -51,25 +51,6 @@ class Suppression:
     justification: str
     used: Dict[str, bool] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "target_line": self.target_line,
-            "codes": list(self.codes),
-            "justification": self.justification,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Suppression":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            target_line=int(data["target_line"]),  # type: ignore[arg-type]
-            codes=tuple(str(code) for code in data["codes"]),  # type: ignore[union-attr]
-            justification=str(data["justification"]),
-        )
-
 
 def _comment_tokens(source: str) -> List[Tuple[int, int, str]]:
     """(line, column, text) of every real comment token in *source*.

@@ -1,29 +1,23 @@
-"""File discovery and (parallel) per-file analysis.
+"""File discovery, one parse per file, and the three analysis stages.
 
-The walker discovers ``.py`` files under the given paths, runs every
-file-scope rule on each file — in parallel worker processes when there is
-enough work — then runs the project-scope rules once over all parsed
-modules, builds the whole-program model (summaries + call graph) for the
-program-scope rules, applies the inline suppressions, and returns one
-sorted, stable report.  Output order is deterministic regardless of worker
-scheduling: violations sort by (path, line, column, code).
+The walker discovers ``.py`` files under the given paths and reads and
+parses each one once into a :class:`~repro.analysis.base.ModuleContext`
+that also carries its :class:`~repro.analysis.summaries.ModuleSummary`:
+from the content-hash :class:`~repro.analysis.summaries.SummaryCache` when
+the source is unchanged, otherwise summarized from that same tree.  It then
+runs the file-scope rules on each module, the project-scope rules once over
+all of them and the program-scope rules over the whole-program model built
+from the summaries, applies the inline suppressions, and returns one report
+sorted by (path, line, column, code).
 
-Per-function summaries are content-hashed and cached on disk
-(:class:`~repro.analysis.summaries.SummaryCache`), so a warm whole-program
-run re-summarizes only the files whose content changed.  ``--changed-only``
-narrows the *file-scope* stage to git-modified files while the project and
-program stages still see the whole tree through the warm cache.
-
-The per-file worker is a module-level function on purpose: the walker must
-itself satisfy MP001 (pickle-safe dispatch).
+``--changed-only`` narrows the *file-scope* stage to git-modified files
+while the project and program stages still see the whole tree.
 """
 
 from __future__ import annotations
 
 import ast
 import logging
-import multiprocessing
-import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +37,7 @@ from repro.analysis.summaries import (
     ModuleSummary,
     SummaryCache,
     module_name_for,
+    source_sha,
     summarize_module,
 )
 from repro.analysis.suppressions import (
@@ -57,9 +52,6 @@ LOGGER = logging.getLogger(__name__)
 SKIPPED_DIRECTORIES = frozenset(
     {"__pycache__", ".git", ".fubar-cache", ".repro-analysis-cache"}
 )
-
-#: Below this many files, forking workers costs more than it saves.
-MIN_FILES_FOR_PARALLEL = 8
 
 
 @dataclass(frozen=True)
@@ -166,53 +158,65 @@ def git_changed_files() -> Optional[Set[Path]]:
     return changed
 
 
-def _analyze_source(
-    display_path: str, source: str, select: Sequence[str]
-) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
-    """Run the file-scope rules on one source text.
+def _load_modules(
+    files: Sequence[Path], cache: SummaryCache
+) -> Tuple[List[ModuleContext], List[Violation]]:
+    """Read and parse each file once and attach its summary.
 
-    Returns plain dicts (violations, suppressions) so the result crosses a
-    process boundary without custom picklers.
+    The summary comes from *cache* when the file's content sha matches,
+    otherwise from the tree just parsed.  A file that does not parse yields
+    a PARSE001 violation instead of a module.
     """
-    try:
-        module = ModuleContext.parse(display_path, source)
-    except SyntaxError as error:
-        violation = Violation(
-            path=display_path,
-            line=error.lineno or 1,
-            column=(error.offset or 0) + 1,
-            code="PARSE001",
-            message=f"file does not parse: {error.msg}",
-        )
-        return [violation.to_dict()], []
-    violations: List[Violation] = []
-    for rule in build_rules(select):
-        if rule.scope == FILE_SCOPE:
-            violations.extend(rule.check(module))
-    suppressions = parse_suppressions(display_path, module.lines)
-    return (
-        [violation.to_dict() for violation in violations],
-        [suppression.to_dict() for suppression in suppressions],
+    modules: List[ModuleContext] = []
+    unparsable: List[Violation] = []
+    for path in files:
+        display = _display_path(path)
+        source = path.read_text(encoding="utf-8")
+        try:
+            module = ModuleContext.parse(display, source)
+        except SyntaxError as error:
+            unparsable.append(
+                Violation(
+                    path=display,
+                    line=error.lineno or 1,
+                    column=(error.offset or 0) + 1,
+                    code="PARSE001",
+                    message=f"file does not parse: {error.msg}",
+                )
+            )
+            continue
+        module_name = module_name_for(path)
+        sha = source_sha(source)
+        summary = cache.get(display, sha, module_name)
+        if summary is None:
+            summary = summarize_module(
+                display,
+                module.tree,
+                module_name,
+                sha,
+                is_package=path.name == "__init__.py",
+            )
+            cache.put(summary)
+        module.summary = summary
+        modules.append(module)
+    cache.flush()
+    return modules, unparsable
+
+
+def _program_model(
+    modules: Sequence[ModuleContext], config: AnalysisConfig
+) -> ProgramModel:
+    summaries: Dict[str, ModuleSummary] = {}
+    for module in modules:
+        assert module.summary is not None
+        # Later files win on module-name collisions; sorted input keeps this
+        # deterministic (collisions only happen outside package roots).
+        summaries[module.summary.module] = module.summary
+    return build_program_model(
+        summaries,
+        config=config,
+        reference_loader=lambda: _reference_name_loader(config),
     )
-
-
-def _analyze_file_task(
-    task: Tuple[str, str, Tuple[str, ...]]
-) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
-    """Worker entry point: (absolute path, display path, selected codes)."""
-    absolute, display, select = task
-    with open(absolute, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return _analyze_source(display, source, list(select))
-
-
-def default_jobs(num_files: int) -> int:
-    """Worker count: capped by the scheduler-visible CPUs and the file count."""
-    try:
-        available = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - macOS / Windows
-        available = os.cpu_count() or 1
-    return max(1, min(num_files, available))
 
 
 def _reference_name_loader(
@@ -240,36 +244,6 @@ def _reference_name_loader(
     return frozenset(names)
 
 
-def _summarize_files(
-    tasks: Sequence[Tuple[str, str, Tuple[str, ...]]],
-    cache: SummaryCache,
-) -> Dict[str, ModuleSummary]:
-    """Summarize every file (through the content-hash cache), keyed by module."""
-    summaries: Dict[str, ModuleSummary] = {}
-    for absolute, display, _ in tasks:
-        path = Path(absolute)
-        with open(absolute, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        module_name = module_name_for(path)
-        summary = cache.get(display, source, module_name)
-        if summary is None:
-            try:
-                summary = summarize_module(
-                    display,
-                    source,
-                    module_name,
-                    is_package=path.name == "__init__.py",
-                )
-            except SyntaxError:
-                continue  # already reported as PARSE001 by the file stage
-            cache.put(summary)
-        # Later files win on module-name collisions; sorted input keeps this
-        # deterministic (collisions only happen outside package roots).
-        summaries[module_name] = summary
-    cache.flush()
-    return summaries
-
-
 def build_program(
     paths: Sequence[str],
     config: Optional[AnalysisConfig] = None,
@@ -280,22 +254,17 @@ def build_program(
     Backs ``--async-map`` and the call-graph unit tests: everything the
     program-scope rules see, without producing violations.
     """
-    files = discover_files(paths)
-    tasks = [(str(path), _display_path(path), ()) for path in files]
-    cache = SummaryCache(summary_cache_dir)
-    summaries = _summarize_files(tasks, cache)
-    effective_config = config if config is not None else load_config()
-    return build_program_model(
-        summaries,
-        config=effective_config,
-        reference_loader=lambda: _reference_name_loader(effective_config),
+    modules, _ = _load_modules(
+        discover_files(paths), SummaryCache(summary_cache_dir)
+    )
+    return _program_model(
+        modules, config if config is not None else load_config()
     )
 
 
 def analyze_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
     project_rules: Optional[Sequence[object]] = None,
     config: Optional[AnalysisConfig] = None,
     summary_cache_dir: Optional[Path] = None,
@@ -310,9 +279,6 @@ def analyze_paths(
     select:
         Rule codes to run (default: every registered rule).  SUP001/SUP002
         always run — suppression hygiene is not optional.
-    jobs:
-        Worker processes for the per-file stage; ``1`` forces the serial
-        path (identical results, useful under debuggers and in tests).
     project_rules:
         Pre-instantiated project-scope rules to use instead of the
         registered ones (tests inject custom SIG001 tables this way).
@@ -329,96 +295,47 @@ def analyze_paths(
         are exempted from the orphan check since they were not verifiable.
     """
     selected = list(select) if select is not None else rule_codes()
-    for code in selected:
-        build_rules([code])  # fail loudly on unknown codes before any work
+    rules = build_rules(selected)  # fails loudly on unknown codes before any work
     files = discover_files(paths)
-    tasks = [
-        (str(path), _display_path(path), tuple(selected)) for path in files
-    ]
-
     changed: Optional[Set[Path]] = None
     if changed_only:
         changed = git_changed_files()
-    if changed is not None:
-        file_stage_tasks = [
-            task for task, path in zip(tasks, files) if path in changed
-        ]
-    else:
-        file_stage_tasks = list(tasks)
-    file_stage_paths = {task[1] for task in file_stage_tasks}
+    file_stage_paths = {
+        _display_path(path)
+        for path in files
+        if changed is None or path in changed
+    }
 
-    raw_violations: List[Dict[str, object]] = []
-    raw_suppressions: List[Dict[str, object]] = []
-    worker_count = (
-        default_jobs(len(file_stage_tasks)) if jobs is None else max(1, jobs)
-    )
-    if worker_count > 1 and len(file_stage_tasks) >= MIN_FILES_FOR_PARALLEL:
-        with multiprocessing.Pool(processes=worker_count) as pool:
-            results = pool.map(_analyze_file_task, file_stage_tasks)
-    else:
-        results = [_analyze_file_task(task) for task in file_stage_tasks]
-    for file_violations, file_suppressions in results:
-        raw_violations.extend(file_violations)
-        raw_suppressions.extend(file_suppressions)
-
+    summary_cache = SummaryCache(summary_cache_dir)
+    modules, unparsable = _load_modules(files, summary_cache)
     violations = [
-        Violation(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            column=int(data["column"]),  # type: ignore[arg-type]
-            code=str(data["code"]),
-            message=str(data["message"]),
-        )
-        for data in raw_violations
+        violation for violation in unparsable if violation.path in file_stage_paths
     ]
 
-    # Project-scope rules run once, in-process, over every parsed module;
-    # the same loop collects suppressions for files the (possibly narrowed)
-    # file stage did not visit, so program-scope violations anywhere in the
+    # File-scope rules on the (possibly narrowed) file stage; suppressions
+    # come from every module, so program-scope violations anywhere in the
     # tree can still be suppressed inline.
-    modules: List[ModuleContext] = []
-    extra_suppressions: List[Suppression] = []
-    for absolute, display, _ in tasks:
-        with open(absolute, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        try:
-            parsed = ModuleContext.parse(display, source)
-        except SyntaxError:
-            continue  # already reported as PARSE001 by the file stage
-        modules.append(parsed)
-        if display not in file_stage_paths:
-            extra_suppressions.extend(parse_suppressions(display, parsed.lines))
+    file_rules = [rule for rule in rules if rule.scope == FILE_SCOPE]
+    suppressions: List[Suppression] = []
+    for module in modules:
+        if module.path in file_stage_paths:
+            for rule in file_rules:
+                violations.extend(rule.check(module))
+        suppressions.extend(parse_suppressions(module.path, module.lines))
+
     if project_rules is None:
-        project_rules = [
-            rule
-            for rule in build_rules(selected)
-            if rule.scope == PROJECT_SCOPE
-        ]
+        project_rules = [rule for rule in rules if rule.scope == PROJECT_SCOPE]
     for rule in project_rules:
         violations.extend(rule.check_project(modules))  # type: ignore[attr-defined]
 
     # Program-scope rules: summaries -> call graph -> interprocedural checks.
-    program_rules = [
-        rule for rule in build_rules(selected) if rule.scope == PROGRAM_SCOPE
-    ]
+    program_rules = [rule for rule in rules if rule.scope == PROGRAM_SCOPE]
     effective_config = config if config is not None else load_config()
-    summary_cache = SummaryCache(summary_cache_dir)
-    files_summarized = 0
-    summary_cache_hits = 0
     if program_rules:
-        summaries = _summarize_files(tasks, summary_cache)
-        files_summarized = summary_cache.summarized
-        summary_cache_hits = summary_cache.hits
-        program = build_program_model(
-            summaries,
-            config=effective_config,
-            reference_loader=lambda: _reference_name_loader(effective_config),
-        )
+        program = _program_model(modules, effective_config)
         for rule in program_rules:
             violations.extend(rule.check_program(program))
 
-    suppressions = [Suppression.from_dict(data) for data in raw_suppressions]
-    suppressions.extend(extra_suppressions)
     # Codes outside the selected set did not run, so their suppressions are
     # unverifiable this run — exempt them from the orphan check.  With
     # --changed-only the file-scope rules did not run on unchanged files, so
@@ -462,9 +379,9 @@ def analyze_paths(
     kept.sort(key=Violation.sort_key)
     return AnalysisReport(
         violations=kept,
-        files_analyzed=len(file_stage_tasks) if changed is not None else len(tasks),
+        files_analyzed=len(file_stage_paths),
         rules_run=tuple(sorted(active)),
-        files_summarized=files_summarized,
-        summary_cache_hits=summary_cache_hits,
+        files_summarized=summary_cache.summarized,
+        summary_cache_hits=summary_cache.hits,
         orphans=orphans,
     )

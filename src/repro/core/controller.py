@@ -13,7 +13,7 @@ This is the top of the public API and what the quickstart example uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:
     from repro.trafficmodel.compiled import CompiledModelCache
@@ -23,11 +23,18 @@ from repro.core.optimizer import FubarOptimizer, FubarResult
 from repro.core.routing import RoutingTable
 from repro.core.state import AllocationState
 from repro.paths.cache import PathSetCache, path_generator_for
+from repro.paths.generator import PathGenerator
+from repro.paths.pathset import PathSet
 from repro.paths.policy import PathPolicy
 from repro.topology.graph import Network
 from repro.topology.validation import require_routable
+from repro.traffic.aggregate import AggregateKey
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.waterfill import TrafficModelConfig, traffic_model_for
+from repro.trafficmodel.waterfill import (
+    TrafficModel,
+    TrafficModelConfig,
+    traffic_model_for,
+)
 from repro.utility.aggregation import PriorityWeights
 
 
@@ -69,6 +76,41 @@ class FubarPlan:
             }
         )
         return summary
+
+
+def build_plan(
+    network: Network,
+    traffic_matrix: TrafficMatrix,
+    config: FubarConfig,
+    generator: PathGenerator,
+    model: TrafficModel,
+    warm_state: Optional[AllocationState] = None,
+    warm_path_sets: Optional[Dict[AggregateKey, PathSet]] = None,
+) -> FubarPlan:
+    """Optimize *traffic_matrix* once and wrap the result with its routing.
+
+    With *warm_state* the run starts from that allocation, rescaled to the
+    new flow counts, and inherits *warm_path_sets*; without it, from the
+    lowest-delay allocation.  :class:`Fubar` and the service's
+    ``ControllerCore`` both plan through here, each with its own generator,
+    model and warm seed.
+    """
+    optimizer = FubarOptimizer(
+        network,
+        traffic_matrix,
+        config=config,
+        path_generator=generator,
+        traffic_model=model,
+    )
+    initial_state = None
+    if warm_state is not None:
+        initial_state = AllocationState.warm_start(
+            warm_state, traffic_matrix, generator
+        )
+    result = optimizer.run(
+        initial_state=initial_state, initial_path_sets=warm_path_sets
+    )
+    return FubarPlan(result=result, routing=RoutingTable.from_state(result.state))
 
 
 class Fubar:
@@ -129,28 +171,16 @@ class Fubar:
         config:
             Per-cycle configuration override; defaults to the controller's.
         """
-        generator = path_generator_for(self.network, self.policy, self._path_cache)
-        optimizer = FubarOptimizer(
+        previous = warm_start.result if warm_start is not None else None
+        return build_plan(
             self.network,
             traffic_matrix,
-            config=config or self.config,
-            path_generator=generator,
-            traffic_model=traffic_model_for(
-                self.network, self.model_config, self._model_cache
-            ),
+            config or self.config,
+            path_generator_for(self.network, self.policy, self._path_cache),
+            traffic_model_for(self.network, self.model_config, self._model_cache),
+            warm_state=previous.state if previous is not None else None,
+            warm_path_sets=previous.path_sets if previous is not None else None,
         )
-        initial_state = None
-        initial_path_sets = None
-        if warm_start is not None:
-            initial_state = AllocationState.warm_start(
-                warm_start.result.state, traffic_matrix, generator
-            )
-            initial_path_sets = warm_start.result.path_sets
-        result = optimizer.run(
-            initial_state=initial_state, initial_path_sets=initial_path_sets
-        )
-        routing = RoutingTable.from_state(result.state)
-        return FubarPlan(result=result, routing=routing)
 
     def optimize_with_priority(
         self, traffic_matrix: TrafficMatrix, weights: PriorityWeights

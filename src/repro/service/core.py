@@ -38,8 +38,7 @@ if TYPE_CHECKING:
     from repro.trafficmodel.compiled import CompiledModelCache
 
 from repro.core.config import FubarConfig
-from repro.core.controller import FubarPlan
-from repro.core.optimizer import FubarOptimizer
+from repro.core.controller import FubarPlan, build_plan
 from repro.core.routing import RoutingTable
 from repro.core.state import AllocationState, apportion_flows
 from repro.exceptions import DynamicsError
@@ -354,28 +353,20 @@ class ControllerCore:
                 routable_aggregates=0,
                 degraded=degraded,
             )
-        optimizer = FubarOptimizer(
+        # An empty seed (warm_start off, or no cycle yet) plans cold.
+        plan = build_plan(
             self._current,
             routable,
-            config=self.fubar_config,
-            path_generator=self._generator,
-            traffic_model=self._model,
+            self.fubar_config,
+            self._generator,
+            self._model,
+            warm_state=self._warm.state,
+            warm_path_sets=self._warm.path_sets,
         )
-        initial_state = None
-        initial_path_sets = None
-        if self.warm_start and self._warm.state is not None:
-            initial_state = AllocationState.warm_start(
-                self._warm.state, routable, self._generator
-            )
-            initial_path_sets = self._warm.path_sets
-        result = optimizer.run(
-            initial_state=initial_state, initial_path_sets=initial_path_sets
-        )
-        plan = FubarPlan(result=result, routing=RoutingTable.from_state(result.state))
         self._last_plan = plan
         if self.warm_start:
-            self._warm.state = result.state
-            self._warm.path_sets = result.path_sets
+            self._warm.state = plan.result.state
+            self._warm.path_sets = plan.result.path_sets
         return ReoptimizeOutcome(
             plan=plan,
             observed_aggregates=len(observed),

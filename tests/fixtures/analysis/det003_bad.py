@@ -22,3 +22,11 @@ def unseeded_bit_generator():
 
 def imported_constructor():
     return default_rng()  # expect: DET003
+
+
+class ClassLevelGenerator:
+    RNG = np.random.default_rng()  # expect: DET003
+
+
+def default_argument_generator(rng=np.random.default_rng()):  # expect: DET003
+    return rng

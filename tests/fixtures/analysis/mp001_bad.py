@@ -25,6 +25,12 @@ def partial_over_lambda(pool):
     return pool.apply_async(partial(lambda x: x, 1))  # expect: MP001
 
 
+def thread_process_and_future_receivers(threads, procs, futures):
+    threads.map(lambda cell: cell, range(4))  # expect: MP001
+    procs.apply_async(lambda: None)  # expect: MP001
+    return futures.submit(lambda: 42)  # expect: MP001
+
+
 class Engine:
     def dispatch(self, pool):
         return pool.imap_unordered(self.evaluate, range(4))  # expect: MP001

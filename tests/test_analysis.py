@@ -58,7 +58,7 @@ def expected_markers(path: Path) -> set:
 
 def run_fixture(name: str, select=None):
     """Serial analysis of one fixture file."""
-    return analyze_paths([str(FIXTURES / name)], select=select, jobs=1)
+    return analyze_paths([str(FIXTURES / name)], select=select)
 
 
 def flagged(report) -> set:
@@ -195,7 +195,7 @@ def _sig001_rule():
 
 def test_sig001_flags_missing_field_and_unfrozen_key():
     paths = [str(FIXTURES / "sig001_bad_class.py"), str(FIXTURES / "sig001_bad_signature.py")]
-    report = analyze_paths(paths, select=[], jobs=1, project_rules=[_sig001_rule()])
+    report = analyze_paths(paths, select=[], project_rules=[_sig001_rule()])
     expected = expected_markers(FIXTURES / "sig001_bad_class.py") | expected_markers(
         FIXTURES / "sig001_bad_signature.py"
     )
@@ -209,7 +209,6 @@ def test_sig001_complete_signature_is_clean():
     report = analyze_paths(
         [str(FIXTURES / "sig001_good.py")],
         select=[],
-        jobs=1,
         project_rules=[_sig001_rule()],
     )
     assert report.clean
@@ -240,7 +239,6 @@ def test_sig001_suppression_applies_to_project_scope_findings():
         report = analyze_paths(
             [str(target), str(FIXTURES / "sig001_bad_class.py")],
             select=[],
-            jobs=1,
             project_rules=[rule],
         )
         assert report.clean, [v.render() for v in report.violations]
@@ -261,7 +259,7 @@ def test_sig001_stale_exclusion_is_reported():
         )
     )
     report = analyze_paths(
-        [str(FIXTURES / "sig001_good.py")], select=[], jobs=1, project_rules=[rule]
+        [str(FIXTURES / "sig001_good.py")], select=[], project_rules=[rule]
     )
     assert [v.code for v in report.violations] == ["SIG001"]
     assert "stale exclusion" in report.violations[0].message
@@ -365,7 +363,7 @@ def flagged_files(report) -> set:
 
 def run_package(package: str, code: str, config=None):
     return analyze_paths(
-        [str(FIXTURES / package)], select=[code], jobs=1, config=config
+        [str(FIXTURES / package)], select=[code], config=config
     )
 
 
@@ -424,13 +422,69 @@ def test_seed101_family_builder_counts_as_entry(tmp_path):
         ),
         encoding="utf-8",
     )
-    report = analyze_paths([str(package)], select=["SEED101"], jobs=1)
+    report = analyze_paths([str(package)], select=["SEED101"])
     flagged_now = flagged_files(report)
     assert any(
         name == "rngs.py" and code == "SEED101"
         for name, line, code in flagged_now
     )
     assert any("build_family" in v.message for v in report.violations)
+
+
+def test_stdlib_jitter_in_a_family_builder_is_det001s_not_seed101s(tmp_path):
+    """A topology builder that draws ``random.uniform`` latency jitter (the
+    shape of a tiered-ISP generator) is DET001's finding: SEED101 audits RNG
+    constructions, and a draw from the stdlib global RNG constructs none.
+    The builder is a live SEED101 entry: seeding an RNG in the same helper
+    from a constant trips SEED101."""
+    package = tmp_path / "jitter_pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text('"""Jittered topology."""\n', encoding="utf-8")
+    topology = package / "topology.py"
+    topology.write_text(
+        "import math\n"
+        "import random\n"
+        "\n"
+        "\n"
+        "def calculate_latency(pos1, pos2, base_overhead=0):\n"
+        "    dist_km = math.dist(pos1, pos2)\n"
+        "    jitter = random.uniform(0.9, 1.1)\n"
+        "    return max(1, int(dist_km / 200.0 * jitter) + base_overhead)\n"
+        "\n"
+        "\n"
+        "def build(seed):\n"
+        "    return [calculate_latency((0.0, 0.0), (float(seed), 1.0))]\n",
+        encoding="utf-8",
+    )
+    (package / "families.py").write_text(
+        "from .topology import build\n"
+        "\n"
+        "\n"
+        "class ScenarioFamily:\n"
+        "    def __init__(self, name, builder):\n"
+        "        self.name = name\n"
+        "        self.builder = builder\n"
+        "\n"
+        "\n"
+        'FAMILY = ScenarioFamily(name="jitter", builder=build)\n',
+        encoding="utf-8",
+    )
+    report = analyze_paths([str(package)], select=["DET001", "SEED101"])
+    assert flagged_files(report) == {("topology.py", 7, "DET001")}
+
+    topology.write_text(
+        topology.read_text(encoding="utf-8").replace(
+            "random.uniform(0.9, 1.1)", "random.Random(7).uniform(0.9, 1.1)"
+        ),
+        encoding="utf-8",
+    )
+    reseeded = analyze_paths([str(package)], select=["DET001", "SEED101"])
+    assert flagged_files(reseeded) == {
+        ("topology.py", 7, "DET001"),
+        ("topology.py", 7, "SEED101"),
+    }
+    seed_messages = [v.message for v in reseeded.violations if v.code == "SEED101"]
+    assert all("build" in message for message in seed_messages)
 
 
 def test_pure101_message_names_the_store_site():
@@ -514,7 +568,6 @@ def test_warm_run_resummarizes_zero_files(tmp_path):
     cold = analyze_paths(
         [str(FIXTURES / "seed101_pkg")],
         select=["SEED101"],
-        jobs=1,
         summary_cache_dir=cache_dir,
     )
     assert cold.files_summarized == cold.files_analyzed > 0
@@ -522,7 +575,6 @@ def test_warm_run_resummarizes_zero_files(tmp_path):
     warm = analyze_paths(
         [str(FIXTURES / "seed101_pkg")],
         select=["SEED101"],
-        jobs=1,
         summary_cache_dir=cache_dir,
     )
     assert warm.files_summarized == 0
@@ -535,7 +587,7 @@ def test_leaf_edit_resummarizes_only_the_leaf_and_reflags_callers(tmp_path):
     shutil.copytree(FIXTURES / "seed101_pkg", package)
     cache_dir = tmp_path / "cache"
     first = analyze_paths(
-        [str(package)], select=["SEED101"], jobs=1, summary_cache_dir=cache_dir
+        [str(package)], select=["SEED101"], summary_cache_dir=cache_dir
     )
     baseline = {(Path(v.path).name, v.line) for v in first.violations}
     # Break the known-good leaf: the entry chain (two files above, summaries
@@ -550,7 +602,7 @@ def test_leaf_edit_resummarizes_only_the_leaf_and_reflags_callers(tmp_path):
         encoding="utf-8",
     )
     second = analyze_paths(
-        [str(package)], select=["SEED101"], jobs=1, summary_cache_dir=cache_dir
+        [str(package)], select=["SEED101"], summary_cache_dir=cache_dir
     )
     assert second.files_summarized == 1
     assert second.summary_cache_hits == second.files_analyzed - 1
@@ -589,7 +641,7 @@ def test_seed101_mutation_gate_clock_reseed_below_entry(tmp_path):
         + source.replace(needle, "np.random.default_rng(int(time.time()))", 1),
         encoding="utf-8",
     )
-    report = analyze_paths([str(tree)], select=["SEED101"], jobs=1)
+    report = analyze_paths([str(tree)], select=["SEED101"])
     assert [v.code for v in report.violations] == ["SEED101"]
     message = report.violations[0].message
     assert "opaque" in message and "sampled_paper_traffic" in message
@@ -612,7 +664,7 @@ def test_pure101_mutation_gate_env_read_in_cached_helper(tmp_path):
         ),
         encoding="utf-8",
     )
-    report = analyze_paths([str(tree)], select=["PURE101"], jobs=1)
+    report = analyze_paths([str(tree)], select=["PURE101"])
     assert {v.code for v in report.violations} == {"PURE101"}
     assert any("os.environ" in v.message for v in report.violations)
 
@@ -625,8 +677,6 @@ def test_committed_tree_has_no_unsuppressed_interprocedural_findings():
         "benchmarks",
         "--select",
         "SEED101,PURE101,ASY101,MP101,DEAD101",
-        "--jobs",
-        "2",
     )
     assert result.returncode == 0, result.stdout + result.stderr
 
@@ -638,28 +688,19 @@ def test_committed_tree_has_no_unsuppressed_interprocedural_findings():
 
 def test_unknown_rule_code_raises():
     with pytest.raises(AnalysisError):
-        analyze_paths([str(FIXTURES / "det001_good.py")], select=["NOPE999"], jobs=1)
+        analyze_paths([str(FIXTURES / "det001_good.py")], select=["NOPE999"])
 
 
 def test_missing_path_raises():
     with pytest.raises(AnalysisError):
-        analyze_paths([str(FIXTURES / "does_not_exist.py")], jobs=1)
+        analyze_paths([str(FIXTURES / "does_not_exist.py")])
 
 
 def test_syntax_error_becomes_parse_violation(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n", encoding="utf-8")
-    report = analyze_paths([str(bad)], jobs=1)
+    report = analyze_paths([str(bad)])
     assert [v.code for v in report.violations] == ["PARSE001"]
-
-
-def test_parallel_and_serial_reports_are_identical():
-    serial = analyze_paths([str(FIXTURES)], jobs=1)
-    parallel = analyze_paths([str(FIXTURES)], jobs=4)
-    assert [v.to_dict() for v in serial.violations] == [
-        v.to_dict() for v in parallel.violations
-    ]
-    assert serial.files_analyzed == parallel.files_analyzed >= 8
 
 
 def test_report_dict_shape():
@@ -690,7 +731,7 @@ def test_registry_exposes_all_project_rules():
 
 
 def test_violation_ordering_is_stable():
-    report = analyze_paths([str(FIXTURES)], jobs=1)
+    report = analyze_paths([str(FIXTURES)])
     keys = [v.sort_key() for v in report.violations]
     assert keys == sorted(keys)
 
@@ -742,7 +783,9 @@ def test_cli_flags_bad_fixture_with_exit_one_and_json():
     assert result.returncode == 1
     payload = json.loads(result.stdout)
     assert payload["clean"] is False
-    assert payload["counts"] == {"DET003": 5}
+    assert payload["counts"] == {
+        "DET003": len(expected_markers(FIXTURES / "det003_bad.py"))
+    }
 
 
 def test_cli_sarif_format():
@@ -864,7 +907,7 @@ def test_cli_unknown_select_exits_two():
 
 def test_committed_tree_is_clean():
     """The gate the lint CI job enforces: src/repro and benchmarks are clean."""
-    result = _run_cli("src/repro", "benchmarks", "--jobs", "2")
+    result = _run_cli("src/repro", "benchmarks")
     assert result.returncode == 0, result.stdout + result.stderr
 
 
