@@ -49,8 +49,9 @@ from repro.analysis.base import call_name, terminal_name
 
 LOGGER = logging.getLogger(__name__)
 
-#: Bump when the summary data model changes; stale cache files are ignored.
-SUMMARY_SCHEMA_VERSION = 2
+#: Bump when the summary data model, or the facts recorded for a given
+#: source, change; stale cache files are ignored.
+SUMMARY_SCHEMA_VERSION = 3
 
 #: Synthetic function name holding a module's import-time statements.
 MODULE_BODY = "<module>"
@@ -702,9 +703,15 @@ class _FileFacts:
     the import-time code around them.
     """
 
-    def __init__(self, imports: _ImportMap, nested_callables: FrozenSet[str]) -> None:
+    def __init__(
+        self,
+        imports: _ImportMap,
+        nested_callables: FrozenSet[str],
+        module_level_names: FrozenSet[str],
+    ) -> None:
         self._imports = imports
         self._nested = nested_callables
+        self._module_level_names = module_level_names
 
     def collect(
         self,
@@ -786,8 +793,11 @@ class _FileFacts:
                 if clock is not None and _AMBIENT_CALLS.get(clock) == "clock":
                     entropy.add(_site(clock, "clock-seed", inner))
 
-        # A seedable constructor given no seed, or a literal None.
-        if terminal in _SEEDABLE_TERMINALS and _is_rng_constructor(target):
+        # A seedable constructor given no seed, or a literal None.  A bare
+        # name the module defines itself is not numpy's (as for SEED101).
+        if terminal in _SEEDABLE_TERMINALS and _is_rng_constructor(
+            target, self._module_level_names
+        ):
             seeds = [*node.args[:1]] + [
                 keyword.value for keyword in node.keywords if keyword.arg == "seed"
             ]
@@ -1593,7 +1603,7 @@ def summarize_module(
             module_level.add(node.target.id)
 
     frozen_module_level = frozenset(module_level)
-    file_facts = _FileFacts(imports, nested_callables)
+    file_facts = _FileFacts(imports, nested_callables, frozen_module_level)
 
     def summarize_function(
         node: _Definition,

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.baselines.common import BaselineResult
 from repro.core.state import AllocationState
@@ -63,6 +62,10 @@ def solve_minmax_fractions(
     to 1; for every link, the demand routed over it is at most ``z`` times
     its capacity.  Objective: minimize ``z``.
     """
+    # Imported here: loading scipy.optimize costs every process that imports
+    # repro about half a second, and only this baseline needs it.
+    from scipy.optimize import linprog
+
     variable_index: Dict[Tuple[Tuple[str, str, str], int], int] = {}
     for key, paths in candidates.items():
         for path_index in range(len(paths)):

@@ -79,16 +79,12 @@ class AllocationState:
     ) -> "AllocationState":
         """All flows of every aggregate on its lowest-delay path (Listing 1, line 1)."""
         generator = path_generator or PathGenerator(network)
-        allocations: Dict[AggregateKey, AggregateAllocation] = {}
-        for aggregate in traffic_matrix:
-            path = generator.lowest_delay_path(aggregate.source, aggregate.destination)
-            if path is None:
-                raise NoPathError(
-                    aggregate.source,
-                    aggregate.destination,
-                    "aggregate cannot be routed at all",
-                )
-            allocations[aggregate.key] = {path: aggregate.num_flows}
+        aggregates = list(traffic_matrix)
+        paths = _lowest_delay_paths(generator, aggregates)
+        allocations: Dict[AggregateKey, AggregateAllocation] = {
+            aggregate.key: {paths[aggregate.key]: aggregate.num_flows}
+            for aggregate in aggregates
+        }
         return cls(network, traffic_matrix, allocations)
 
     @classmethod
@@ -109,21 +105,22 @@ class AllocationState:
         from the deployed solution instead of from shortest paths.
         """
         generator = path_generator or PathGenerator(previous.network)
+        paths = _lowest_delay_paths(
+            generator,
+            [
+                aggregate
+                for aggregate in traffic_matrix
+                if not previous._allocations.get(aggregate.key)
+            ],
+        )
         allocations: Dict[AggregateKey, AggregateAllocation] = {}
         for aggregate in traffic_matrix:
             key = aggregate.key
             old = previous._allocations.get(key)
             if old:
                 allocations[key] = apportion_flows(old, aggregate.num_flows)
-                continue
-            path = generator.lowest_delay_path(aggregate.source, aggregate.destination)
-            if path is None:
-                raise NoPathError(
-                    aggregate.source,
-                    aggregate.destination,
-                    "aggregate cannot be routed at all",
-                )
-            allocations[key] = {path: aggregate.num_flows}
+            else:
+                allocations[key] = {paths[key]: aggregate.num_flows}
         return cls(previous.network, traffic_matrix, allocations)
 
     # ----------------------------------------------------------------- reads
@@ -284,6 +281,34 @@ class AllocationState:
         return (
             f"AllocationState(aggregates={len(self._allocations)}, bundles={num_bundles})"
         )
+
+
+def _lowest_delay_paths(
+    generator: PathGenerator, aggregates: List[Aggregate]
+) -> Dict[AggregateKey, Path]:
+    """Each aggregate's lowest-delay path, from one search per source.
+
+    Raises :class:`NoPathError` for the first aggregate, in order, that
+    cannot be routed at all.
+    """
+    by_source: Dict[str, List[str]] = {}
+    for aggregate in aggregates:
+        by_source.setdefault(aggregate.source, []).append(aggregate.destination)
+    found = {
+        source: generator.lowest_delay_paths(source, destinations)
+        for source, destinations in by_source.items()
+    }
+    paths: Dict[AggregateKey, Path] = {}
+    for aggregate in aggregates:
+        path = found[aggregate.source][aggregate.destination]
+        if path is None:
+            raise NoPathError(
+                aggregate.source,
+                aggregate.destination,
+                "aggregate cannot be routed at all",
+            )
+        paths[aggregate.key] = path
+    return paths
 
 
 def apportion_flows(allocation: AggregateAllocation, total: int) -> AggregateAllocation:

@@ -36,47 +36,18 @@ def shortest_path(
     endpoints) are treated as absent.  Raises :class:`NoPathError` when no
     path survives the exclusions.
     """
-    if not network.has_node(source):
-        raise UnknownNodeError(source)
-    if not network.has_node(destination):
-        raise UnknownNodeError(destination)
-    if source == destination:
-        raise NoPathError(source, destination, "source equals destination")
-
-    distances: Dict[str, float] = {source: 0.0}
-    previous: Dict[str, str] = {}
-    visited: set = set()
-    queue: list = [(0.0, source)]
-
-    while queue:
-        distance, node = heapq.heappop(queue)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == destination:
-            break
-        for link in network.out_links(node):
-            neighbour = link.dst
-            if neighbour in visited:
-                continue
-            if neighbour in excluded_nodes and neighbour != destination:
-                continue
-            if link.link_id in excluded_links:
-                continue
-            candidate = distance + link.delay_s
-            if candidate < distances.get(neighbour, float("inf")):
-                distances[neighbour] = candidate
-                previous[neighbour] = node
-                heapq.heappush(queue, (candidate, neighbour))
-
-    if destination not in previous and destination != source:
-        raise NoPathError(source, destination, "exclusions disconnect the pair")
-
-    path = [destination]
-    while path[-1] != source:
-        path.append(previous[path[-1]])
-    path.reverse()
-    return tuple(path)
+    path = shortest_paths_from(
+        network, source, (destination,), excluded_links, excluded_nodes
+    ).get(destination)
+    if path is None:
+        raise NoPathError(
+            source,
+            destination,
+            "source equals destination"
+            if source == destination
+            else "exclusions disconnect the pair",
+        )
+    return path
 
 
 def shortest_path_or_none(
@@ -93,28 +64,55 @@ def shortest_path_or_none(
         return None
 
 
-def shortest_path_tree(network: Network, source: str) -> Dict[str, Path]:
-    """Return the lowest-delay path from *source* to every reachable node.
+def shortest_paths_from(
+    network: Network,
+    source: str,
+    destinations: Iterable[str],
+    excluded_links: AbstractSet[LinkId] = NO_LINKS,
+    excluded_nodes: AbstractSet[str] = NO_NODES,
+) -> Dict[str, Path]:
+    """Lowest-delay paths from *source* to each of *destinations*, in one search.
 
-    The result maps destination name to path; the source itself is omitted.
-    Used by the shortest-path baseline, which routes every aggregate over
-    this tree.
+    Each path is the one a search for that destination alone finds; a
+    destination that is the source or that the exclusions disconnect is
+    left out.  The search stops once every destination is settled, before
+    expanding the last one.  A destination in *excluded_nodes* is reached
+    (an endpoint is never excluded) but never expanded, so it lies on no
+    other destination's path, as a search for that other destination
+    alone never enters it.  Ties between equal-delay routes break by node
+    name, the heap's order, whichever destinations share the search.
     """
     if not network.has_node(source):
         raise UnknownNodeError(source)
+    wanted = list(dict.fromkeys(destinations))
+    for destination in wanted:
+        if not network.has_node(destination):
+            raise UnknownNodeError(destination)
+    targets = frozenset(wanted) - {source}
+    pending = set(targets)
+
     distances: Dict[str, float] = {source: 0.0}
     previous: Dict[str, str] = {}
     visited: set = set()
     queue: list = [(0.0, source)]
 
-    while queue:
+    while queue and pending:
         distance, node = heapq.heappop(queue)
         if node in visited:
             continue
         visited.add(node)
+        pending.discard(node)
+        if not pending:
+            break
+        if node in excluded_nodes and node != source:
+            continue
         for link in network.out_links(node):
             neighbour = link.dst
             if neighbour in visited:
+                continue
+            if neighbour in excluded_nodes and neighbour not in targets:
+                continue
+            if link.link_id in excluded_links:
                 continue
             candidate = distance + link.delay_s
             if candidate < distances.get(neighbour, float("inf")):
@@ -123,8 +121,8 @@ def shortest_path_tree(network: Network, source: str) -> Dict[str, Path]:
                 heapq.heappush(queue, (candidate, neighbour))
 
     paths: Dict[str, Path] = {}
-    for destination in network.node_names:
-        if destination == source or destination not in previous:
+    for destination in wanted:
+        if destination not in previous:
             continue
         path = [destination]
         while path[-1] != source:
@@ -132,6 +130,16 @@ def shortest_path_tree(network: Network, source: str) -> Dict[str, Path]:
         path.reverse()
         paths[destination] = tuple(path)
     return paths
+
+
+def shortest_path_tree(network: Network, source: str) -> Dict[str, Path]:
+    """Return the lowest-delay path from *source* to every reachable node.
+
+    The result maps destination name to path; the source itself is omitted.
+    Used by the shortest-path baseline, which routes every aggregate over
+    this tree.
+    """
+    return shortest_paths_from(network, source, network.node_names)
 
 
 def all_pairs_shortest_paths(network: Network) -> Dict[Tuple[str, str], Path]:

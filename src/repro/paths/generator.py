@@ -19,10 +19,20 @@ working through a congested link.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.exceptions import PathError
-from repro.paths.dijkstra import shortest_path_or_none
+from repro.paths.dijkstra import shortest_path_or_none, shortest_paths_from
 from repro.paths.ksp import k_shortest_paths_or_fewer
 from repro.paths.pathset import PathSet
 from repro.paths.policy import PathPolicy
@@ -78,6 +88,38 @@ class PathGenerator:
     def lowest_delay_path(self, source: str, destination: str) -> Optional[Path]:
         """The policy-compliant lowest-delay path, or None when disconnected."""
         return self._query(source, destination, frozenset())
+
+    def lowest_delay_paths(
+        self, source: str, destinations: Iterable[str]
+    ) -> Dict[str, Optional[Path]]:
+        """:meth:`lowest_delay_path` from *source* to each of *destinations*.
+
+        Memoized with it: the destinations not cached yet share one search
+        from *source* (:func:`~repro.paths.dijkstra.shortest_paths_from`),
+        which stops once each of them is settled.
+        """
+        policy_links, policy_nodes = self.policy.exclusions()
+        paths: Dict[str, Optional[Path]] = {}
+        missing: List[str] = []
+        for destination in destinations:
+            cache_key = (source, destination, policy_links)
+            if cache_key in self._cache:
+                paths[destination] = self._cache[cache_key]
+            else:
+                missing.append(destination)
+        if missing:
+            found = shortest_paths_from(
+                self.network,
+                source,
+                missing,
+                excluded_links=policy_links,
+                excluded_nodes=policy_nodes,
+            )
+            for destination in missing:
+                path = self._compliant(found.get(destination))
+                self._cache[(source, destination, policy_links)] = path
+                paths[destination] = path
+        return paths
 
     def lowest_delay_path_avoiding(
         self,
@@ -172,18 +214,26 @@ class PathGenerator:
         cache_key = (source, destination, excluded_links)
         if cache_key in self._cache:
             return self._cache[cache_key]
-        path = shortest_path_or_none(
-            self.network,
-            source,
-            destination,
-            excluded_links=excluded_links,
-            excluded_nodes=policy_nodes,
+        path = self._compliant(
+            shortest_path_or_none(
+                self.network,
+                source,
+                destination,
+                excluded_links=excluded_links,
+                excluded_nodes=policy_nodes,
+            )
         )
-        if path is not None and not self.policy.is_compliant(self.network, path):
-            # The hop/delay ceilings cannot be pushed into Dijkstra; enforce
-            # them as a post-filter.
-            path = None
         self._cache[cache_key] = path
+        return path
+
+    def _compliant(self, path: Optional[Path]) -> Optional[Path]:
+        """*path*, or None when it breaks the policy.
+
+        The hop/delay ceilings cannot be pushed into Dijkstra; they are
+        enforced as this post-filter.
+        """
+        if path is not None and not self.policy.is_compliant(self.network, path):
+            return None
         return path
 
     def clear_cache(self) -> None:

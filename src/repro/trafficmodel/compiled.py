@@ -31,7 +31,9 @@ bundle.  This module removes both costs:
   step's compiled base in two rows, so a candidate block reuses the base
   layout's order and link segments and rebuilds only the segments the two
   rows cross — no per-candidate compile, sort or CSR build — before one
-  shared event loop solves the chunk and one roll-up scores it.  Each score
+  shared event loop solves the chunk and one roll-up scores it.  Blocks
+  are solved only on the links some candidate of the step can saturate,
+  and a bundle crossing none of them is scored at its demand.  Each score
   is bitwise the network utility of evaluating the moved state;
 * one vectorized roll-up turns rates into utilities, over cached per-path
   delay factors and grouped bandwidth components: :meth:`result_of
@@ -239,6 +241,12 @@ class CompiledBundles:
             self.components, self.delay_factors[None, :], self.agg_ids[None, :],
             self.agg_flows,
         )[0]
+
+
+def _saturation_threshold(capacities: np.ndarray) -> np.ndarray:
+    """Load at which each link saturates: its capacity less the model's
+    absolute and relative slack."""
+    return capacities - (capacities * _REL_EPS + _ABS_EPS)
 
 
 def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -449,18 +457,68 @@ class _SolverLayout:
         after the tied slots of lower column — the stable sort's order.
         ``rank_keys`` makes that one ``searchsorted``: within a tie group
         (the slots sharing one satisfy time, starting at slot *g*) slot *p*
-        keys as ``g * (n + 1) + column``, strictly increasing in *p*.
+        keys as ``g * (n + 1) + column``, strictly increasing in *p*, where
+        *n* counts the compiled list's columns (a new row's column is *n*).
         """
-        num_bundles = len(self)
+        num_slots = len(self)
+        stride = self.inverse.shape[0] + 1
         if self._rank_keys is None:
             group = np.searchsorted(self.satisfy, self.satisfy, side="left")
-            self._rank_keys = group * (num_bundles + 1) + self.order
+            self._rank_keys = group * stride + self.order
         first = np.searchsorted(self.satisfy, satisfy, side="left")
         tied = np.zeros(first.shape[0], dtype=bool)
-        inside = first < num_bundles
+        inside = first < num_slots
         tied[inside] = self.satisfy[first[inside]] == satisfy[inside]
-        query = first * (num_bundles + 1) + np.where(tied, columns, 0)
+        query = first * stride + np.where(tied, columns, 0)
         return np.searchsorted(self._rank_keys, query, side="left")
+
+    def restricted(self, links: np.ndarray, link_map: np.ndarray) -> "_SolverLayout":
+        """This layout cut to the sorted *links* and the bundles crossing one.
+
+        ``link_map`` numbers the kept links ``0, 1, ...`` and holds -1 for
+        every other link.  Each kept link keeps its segment (the same
+        entries, growth rates and in-order growth sum), and each kept slot
+        its rank order and its link list cut to the kept links in path
+        order, so every reduction the solver runs on a kept link sees the
+        operands it sees in the whole layout.  ``order`` still names the
+        compiled list's columns; ``inverse`` holds -1 for a column whose
+        bundle crosses no kept link.
+        """
+        counts = self.csr_counts[links]
+        src = _gather_slices(self.csr_offsets[links], counts)
+        kept = np.zeros(len(self), dtype=bool)
+        kept[self.csr_slots[src]] = True
+        slots = np.nonzero(kept)[0]
+        renumbered = np.cumsum(kept) - 1
+        num_slots = slots.shape[0]
+        row_counts = self.row_count[slots]
+        row_links = link_map[
+            self.row_links[_gather_slices(self.row_start[slots], row_counts)]
+        ]
+        on_kept = row_links >= 0
+        sub_counts = np.bincount(
+            np.repeat(np.arange(num_slots, dtype=np.intp), row_counts)[on_kept],
+            minlength=num_slots,
+        )
+
+        layout = _SolverLayout.__new__(_SolverLayout)
+        layout.order = self.order[slots]
+        layout.inverse = np.full(self.inverse.shape[0], -1, dtype=np.intp)
+        layout.inverse[layout.order] = np.arange(num_slots, dtype=np.intp)
+        layout.satisfy = self.satisfy[slots]
+        layout.growth = self.growth[slots]
+        layout.demands = self.demands[slots]
+        layout.csr_counts = counts
+        layout.csr_offsets = np.zeros(links.shape[0] + 1, dtype=np.intp)
+        np.cumsum(counts, out=layout.csr_offsets[1:])
+        layout.csr_slots = renumbered[self.csr_slots[src]]
+        layout.csr_values = self.csr_values[src]
+        layout.link_growth = self.link_growth[links]
+        layout.row_links = row_links[on_kept]
+        layout.row_count = sub_counts
+        layout.row_start = np.cumsum(sub_counts) - sub_counts
+        layout._rank_keys = None
+        return layout
 
 
 class _Waterfall:
@@ -736,7 +794,7 @@ class _Waterfall:
         stop = satisfy.copy()
         satisfied_at = satisfy * (1.0 - _REL_EPS)
         saturated = np.zeros(total_links, dtype=bool)
-        threshold = self.capacities - (self.capacities * _REL_EPS + _ABS_EPS)
+        threshold = _saturation_threshold(self.capacities)
         slot_link_base = np.repeat(
             np.arange(num_blocks, dtype=np.intp) * num_links, slot_counts
         )
@@ -1350,6 +1408,39 @@ _ChunkColumns = Tuple[
 ]
 
 
+class _SubNetwork:
+    """A step's congestable links and the base's bundles that cross them.
+
+    A link is *congestable* when its demand bound — the base's demand on
+    it plus the most that any scored candidate's rows add to it — reaches
+    the solver's sweep floor, ``threshold * (1 - _SWEEP_MARGIN)``.  Rates
+    never exceed demand, so a link below that floor never gets a finite
+    crossing time nor passes the slack-band sweep: it produces no event
+    in any candidate block, and a bundle that crosses only such links
+    ends satisfied.  Candidate blocks are therefore solved on the base's
+    layout cut to the congestable links (:meth:`_SolverLayout.restricted`),
+    and each dropped bundle is scored at its demand: the rates, and so
+    the scores, a solve over every link gives, bit for bit.
+    """
+
+    __slots__ = ("kept", "link_map", "layout", "capacities", "tau")
+
+    def __init__(
+        self, base: _SolverLayout, kept: np.ndarray, capacities: np.ndarray
+    ) -> None:
+        links = np.nonzero(kept)[0]
+        self.kept = kept
+        self.link_map = np.full(kept.shape[0], -1, dtype=np.intp)
+        self.link_map[links] = np.arange(links.shape[0], dtype=np.intp)
+        self.layout = base.restricted(links, self.link_map)
+        self.capacities = capacities[links]
+        # Each kept link's initial crossing time: segment-local, so bitwise
+        # what a pass over the whole base layout gives.
+        system = _Waterfall.of_layouts([self.layout], self.capacities)
+        system.refresh(np.arange(links.shape[0], dtype=np.intp))
+        self.tau = system.tau
+
+
 class BatchedCandidateScorer:
     """Scores move patches of one compiled base in the base's index space.
 
@@ -1357,22 +1448,24 @@ class BatchedCandidateScorer:
     compiled base in two rows: the from-bundle shrinks (or goes) and the
     to-bundle grows (or appears).  Instead of compiling, sorting and
     building a CSR per candidate, the scorer reads every candidate block
-    through the base's solver layout (:attr:`CompiledBundles.layout`):
+    through the base's solver layout (:attr:`CompiledBundles.layout`), cut
+    to the links the scored candidates can saturate (:class:`_SubNetwork`;
+    a bundle that crosses none of them meets its demand):
 
-    * block *k* keeps the base's *n* rank slots plus two slots for the rows
-      the move inserts (the shrunk from-row, the grown or new to-row), each
-      ranked at its stable (satisfy time, column) place; the base slots of
-      the rows the move touches start inactive;
-    * each (block, link) segment points into the base's CSR, except the
-      segments a touched or inserted row crosses, which are rebuilt as the
-      base segment minus the touched rows plus the inserted ones at their
-      rank.  Blocks that change a link the same way (the candidates moving
-      one bundle share its from-row) share one rebuilt segment;
+    * block *k* keeps the sub-network's *n* rank slots plus two slots for
+      the rows the move inserts (the shrunk from-row, the grown or new
+      to-row), each ranked at its stable (satisfy time, column) place; the
+      slots of the base rows the move touches start inactive;
+    * each (block, link) segment points into the sub-network's CSR, except
+      the segments a touched or inserted row crosses, which are rebuilt as
+      the base segment minus the touched rows plus the inserted ones at
+      their rank.  Blocks that change a link the same way (the candidates
+      moving one bundle share its from-row) share one rebuilt segment;
     * each link the move leaves alone starts from the base's initial
       crossing time, and only the distinct rebuilt segments pay the kernel;
     * the shared :class:`_Waterfall` event loop solves the chunk, folding
       inserted slots in rank order, and one roll-up scores it over the
-      base's *n* columns plus one for a new to-path.
+      base's columns plus one for a new to-path.
 
     Every score is *bitwise* the network utility of a full evaluation of
     the moved state, ``model.evaluate(state.with_move(...).bundles())``
@@ -1384,7 +1477,15 @@ class BatchedCandidateScorer:
     per candidate, plus one for the base's initial crossing-time pass.
     """
 
-    __slots__ = ("engine", "base", "weights", "batch_size", "_tau", "_agg_weights")
+    __slots__ = (
+        "engine",
+        "base",
+        "weights",
+        "batch_size",
+        "_agg_weights",
+        "_headroom",
+        "_sub",
+    )
 
     def __init__(
         self,
@@ -1403,8 +1504,11 @@ class BatchedCandidateScorer:
         self.base = base
         self.weights = weights
         self.batch_size = batch_size
-        self._tau: Optional[np.ndarray] = None
         self._agg_weights: Optional[np.ndarray] = None
+        #: Demand a candidate must add to each link before it can saturate:
+        #: the sweep floor less the base's demand on the link.
+        self._headroom: Optional[np.ndarray] = None
+        self._sub: Optional[_SubNetwork] = None
 
     def _parse(self, patch: BundlePatch) -> _Move:
         """Validate a move patch and resolve its rows against the base."""
@@ -1452,13 +1556,17 @@ class BatchedCandidateScorer:
         moves = [self._parse(patch) for patch in patches]
         engine, base = self.engine, self.base
         if self._agg_weights is None:
-            system = _Waterfall.of_layouts([base.layout], engine._capacities)
-            system.refresh(np.arange(base.num_links, dtype=np.intp))
-            self._tau = system.tau
             self._agg_weights = _aggregate_weights(base, self.weights)
+            flat, counts = base.flat_links
+            self._headroom = _saturation_threshold(engine._capacities) * (
+                1.0 - _SWEEP_MARGIN
+            ) - np.bincount(
+                flat, weights=np.repeat(base.demands, counts), minlength=base.num_links
+            )
             engine.evaluations += 1
         agg_weights = self._agg_weights
         engine.evaluations += len(moves)
+        self._cover(moves)
         scores: List[float] = []
         for start in range(0, len(moves), self.batch_size):
             chunk = self._solve_chunk(moves[start : start + self.batch_size])
@@ -1468,6 +1576,51 @@ class BatchedCandidateScorer:
             scores.extend(_weighted_means(_rollup(*chunk, base.agg_flows), agg_weights))
         return scores
 
+    def _cover(self, moves: Sequence[_Move]) -> None:
+        """Widen the sub-network to every link one of *moves* can saturate.
+
+        A candidate adds demand to a link only through a row whose demand
+        grows (the to-row; the from-row too when its bundle carries another
+        utility), so each link's bound is the base's demand on it plus the
+        largest sum of such growths that one candidate puts on it.  The
+        sub-network only ever widens: every link a patch list scored
+        earlier can saturate stays kept.
+        """
+        engine, base = self.engine, self.base
+        assert self._headroom is not None
+        lifted: List[np.ndarray] = []
+        lifts: List[float] = []
+        for _, from_row, to_row in moves:
+            lift = 0.0
+            grown: List[np.ndarray] = []
+            for move_row in (from_row, to_row):
+                if move_row is None:
+                    continue
+                column, _, bundle = move_row
+                if bundle is None:
+                    continue
+                row = engine._row_for(bundle)
+                held = base.demands[column] if column >= 0 else 0.0
+                growth = bundle.num_flows * row.per_flow_demand_bps - held
+                if growth > 0.0:
+                    lift += growth
+                    grown.append(row.link_indices)
+            lifted.extend(grown)
+            lifts.extend([lift] * len(grown))
+        link_lift = np.zeros(base.num_links, dtype=float)
+        if lifted:
+            np.maximum.at(
+                link_lift,
+                np.concatenate(lifted),
+                np.repeat(lifts, [links.shape[0] for links in lifted]),
+            )
+        kept = link_lift >= self._headroom
+        if self._sub is not None:
+            if not (kept & ~self._sub.kept).any():
+                return
+            kept |= self._sub.kept
+        self._sub = _SubNetwork(base.layout, kept, engine._capacities)
+
     def _solve_chunk(self, moves: Sequence[_Move]) -> _ChunkColumns:
         """Solve one chunk of parsed moves as one stacked system.
 
@@ -1475,24 +1628,30 @@ class BatchedCandidateScorer:
         component ids, component list, delay factors and aggregate ids, in
         :func:`_rollup`'s argument order.
         """
-        rows = _ChunkRows(self.engine, self.base, moves)
-        rates, _ = self._system(rows).run(with_bottleneck=False)
-        base, num_bundles = self.base, len(self.base)
+        sub = self._sub
+        assert sub is not None
+        rows = _ChunkRows(self.engine, self.base, sub, moves)
+        rates, _ = self._system(sub, rows).run(with_bottleneck=False)
+        base, num_bundles, num_slots = self.base, len(self.base), len(sub.layout)
 
-        # Columns: the base's n, plus one for a new to-path.  A removed
-        # from-bundle keeps its column with zero flows and zero rate.
+        # Columns: the base's n, plus one for a new to-path.  A bundle off
+        # the sub-network meets its demand.  A touched row's column starts
+        # empty, so a removed from-bundle keeps it with zero flows and zero
+        # rate, and the inserted rows then fill theirs.
         def columns(base_values: np.ndarray, dtype: Any) -> np.ndarray:
             return _tiled(
                 base_values, rows.num_blocks, num_bundles, num_bundles + 1, 0, dtype
             )
 
-        slot_rates = rates.reshape(rows.num_blocks, num_bundles + 2)
-        col_rates = columns(slot_rates[:, base.layout.inverse], float)
+        slot_rates = rates.reshape(rows.num_blocks, num_slots + 2)
+        col_rates = columns(base.demands, float)
+        col_rates[:, sub.layout.order] = slot_rates[:, :num_slots]
         col_flows = columns(base.flows, float)
         col_comp = columns(base.comp_ids, np.intp)
         col_delay = columns(base.delay_factors, float)
         col_agg = columns(base.agg_ids, np.intp)
         blocks, cols = rows.blocks, rows.columns
+        col_rates[rows.touched[:, 0], rows.touched[:, 2]] = 0.0
         col_flows[rows.touched[:, 0], rows.touched[:, 2]] = 0.0
         col_rates[blocks, cols] = slot_rates[blocks, rows.slots]
         col_flows[blocks, cols] = rows.flows
@@ -1501,20 +1660,19 @@ class BatchedCandidateScorer:
         col_agg[blocks, cols] = rows.agg_ids
         return col_rates, col_flows, col_comp, rows.components, col_delay, col_agg
 
-    def _system(self, rows: "_ChunkRows") -> _Waterfall:
-        """The chunk's stacked system, with every link's initial ``tau``."""
-        base = self.base
-        layout = base.layout
-        assert self._tau is not None
-        num_bundles, num_links = len(base), base.num_links
+    def _system(self, sub: _SubNetwork, rows: "_ChunkRows") -> _Waterfall:
+        """The chunk's stacked system on the sub-network, with every link's
+        initial ``tau``."""
+        layout = sub.layout
+        num_slots, num_links = len(layout), layout.csr_counts.shape[0]
         num_blocks = rows.num_blocks
-        width = num_bundles + 2
+        width = num_slots + 2
         blocks, slots = rows.blocks, rows.slots
 
-        # Slot arrays: the base's ranked slots, tiled, then the two slots of
-        # the rows a move inserts.
+        # Slot arrays: the sub-network's ranked slots, tiled, then the two
+        # slots of the rows a move inserts.
         def slot_array(base_values: Any, fill: Any, dtype: Any) -> np.ndarray:
-            return _tiled(base_values, num_blocks, num_bundles, width, fill, dtype)
+            return _tiled(base_values, num_blocks, num_slots, width, fill, dtype)
 
         satisfy = slot_array(layout.satisfy, np.inf, float)
         growth = slot_array(layout.growth, 0.0, float)
@@ -1523,18 +1681,19 @@ class BatchedCandidateScorer:
         row_start = slot_array(layout.row_start, 0, np.intp)
         row_count = slot_array(layout.row_count, 0, np.intp)
         fold_key = np.full((num_blocks, width), -1, dtype=np.intp)
-        touched_blocks, touched_roles = rows.touched[:, 0], rows.touched[:, 1]
+        # Touched rows off the sub-network have no slot to silence.
         touched_slot = layout.inverse[rows.touched[:, 2]]
+        on_sub = touched_slot >= 0
+        touched_blocks = rows.touched[on_sub, 0]
+        touched_slot = touched_slot[on_sub]
         touched_slots = np.full((2, num_blocks), -1, dtype=np.intp)
-        touched_slots[touched_roles, touched_blocks] = touched_slot
+        touched_slots[rows.touched[on_sub, 1], touched_blocks] = touched_slot
         active[touched_blocks, touched_slot] = False
         satisfy[blocks, slots] = rows.satisfy
         growth[blocks, slots] = rows.growth
         demand[blocks, slots] = rows.demand
         active[blocks, slots] = True
-        link_counts = np.asarray(
-            [links.shape[0] for links in rows.links], dtype=np.intp
-        )
+        link_counts = rows.link_counts
         row_start[blocks, slots] = (
             layout.row_links.shape[0] + np.cumsum(link_counts) - link_counts
         )
@@ -1547,12 +1706,10 @@ class BatchedCandidateScorer:
         # built from the first (block, link) that reads it: the base
         # segment minus the touched rows, plus each inserted row at its rank.
         of_change = np.repeat(
-            np.arange(rows.changed.shape[0], dtype=np.intp),
-            [links.shape[0] for links in rows.changed_links],
+            np.arange(rows.changed.shape[0], dtype=np.intp), rows.changed_counts
         )
         seg_keys, seg_of_entry = np.unique(
-            rows.changed[of_change, 0] * num_links
-            + _concat_links(rows.changed_links),
+            rows.changed[of_change, 0] * num_links + rows.changed_links,
             return_inverse=True,
         )
         crossing = np.full((2, seg_keys.shape[0]), -1, dtype=np.intp)
@@ -1582,16 +1739,14 @@ class BatchedCandidateScorer:
         # block, so two that land on one pool index at a segment boundary
         # still go to their own segments.
         of_row = np.repeat(np.arange(link_counts.shape[0], dtype=np.intp), link_counts)
-        row_seg = np.searchsorted(
-            seg_keys, blocks[of_row] * num_links + _concat_links(rows.links)
-        )
+        row_seg = np.searchsorted(seg_keys, blocks[of_row] * num_links + rows.links)
         builds = first[shared[row_seg]] == row_seg
         of_row = of_row[builds]
         new_seg = shared[row_seg[builds]]
-        new_key = new_seg * (num_bundles + 1) + rank[of_row]
+        new_key = new_seg * (num_slots + 1) + rank[of_row]
         by_key = np.argsort(2 * new_key + rows.order[of_row], kind="stable")
         at = np.searchsorted(
-            entry_seg * (num_bundles + 1) + entry_slots, new_key[by_key]
+            entry_seg * (num_slots + 1) + entry_slots, new_key[by_key]
         )
         entry_seg = np.insert(entry_seg, at, new_seg[by_key])
         entry_slots = np.insert(entry_slots, at, slots[of_row][by_key])
@@ -1608,7 +1763,7 @@ class BatchedCandidateScorer:
         seg_count[seg_keys] = built_counts[shared]
         link_growth[seg_keys] = built_growth[shared]
         system = _Waterfall(
-            self.engine._capacities,
+            sub.capacities,
             np.arange(num_blocks, dtype=np.intp) * width,
             satisfy.ravel(),
             growth.ravel(),
@@ -1617,7 +1772,7 @@ class BatchedCandidateScorer:
             (
                 row_start.ravel(),
                 row_count.ravel(),
-                np.concatenate([layout.row_links] + rows.links),
+                np.concatenate([layout.row_links, rows.links]),
             ),
             (
                 seg_start,
@@ -1631,14 +1786,24 @@ class BatchedCandidateScorer:
         # A link the move leaves alone starts at the base's crossing time;
         # a shared segment starts the same in every block that reads it
         # (same entries, all active, nothing frozen yet).
-        system.tau[:] = np.tile(self._tau, num_blocks)
+        system.tau[:] = np.tile(sub.tau, num_blocks)
         system.refresh(built)
         system.tau[seg_keys] = system.tau[built][shared]
         return system
 
 
-def _concat_links(parts: List[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+def _kept_links(
+    parts: List[np.ndarray], link_map: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each link list of *parts* cut to the links ``link_map`` keeps and
+    renumbered: (per-part counts, the concatenated kept links)."""
+    counts = np.asarray([links.shape[0] for links in parts], dtype=np.intp)
+    mapped = (
+        link_map[np.concatenate(parts)] if parts else np.zeros(0, dtype=np.intp)
+    )
+    on_kept = mapped >= 0
+    owner = np.repeat(np.arange(counts.shape[0], dtype=np.intp), counts)
+    return np.bincount(owner[on_kept], minlength=counts.shape[0]), mapped[on_kept]
 
 
 def _tiled(
@@ -1654,13 +1819,16 @@ def _tiled(
 class _ChunkRows:
     """The rows a chunk of moves touches and inserts, block by block.
 
-    A *touched* row is a base row the move changes (its base slot starts
-    inactive); an *inserted* row is the row after the move (the shrunk
-    from-row in slot ``n``, the grown or new to-row in slot ``n + 1``).
-    ``order`` is an inserted row's place among its block's inserted rows in
-    the stable (satisfy time, column) order.  A *change* is one row's new
+    A *touched* row is a base row the move changes (its slot, when it has
+    one on the sub-network, starts inactive); an *inserted* row is the row
+    after the move (the shrunk from-row in slot ``n``, the grown or new
+    to-row in slot ``n + 1``, for the sub-network's *n* slots).  ``order``
+    is an inserted row's place among its block's inserted rows in the
+    stable (satisfy time, column) order.  A *change* is one row's new
     state — path and flows — numbered so that blocks making the same change
-    can share the segments it rebuilds.
+    can share the segments it rebuilds.  Every link list is cut to the
+    sub-network's links and renumbered: ``links`` concatenates the
+    inserted rows' (``link_counts`` each), ``changed_links`` the changes'.
     """
 
     __slots__ = (
@@ -1678,8 +1846,10 @@ class _ChunkRows:
         "satisfy",
         "flows",
         "delay",
+        "link_counts",
         "links",
         "changed",
+        "changed_counts",
         "changed_links",
         "num_changes",
     )
@@ -1688,9 +1858,10 @@ class _ChunkRows:
         self,
         engine: CompiledTrafficModel,
         base: CompiledBundles,
+        sub: _SubNetwork,
         moves: Sequence[_Move],
     ) -> None:
-        num_bundles = len(base)
+        num_bundles, num_slots = len(base), len(sub.layout)
         components = list(base.components)
         touched: List[Tuple[int, int, int]] = []  # block, role, base column
         # block, slot, column, aggregate id, component id, order in block
@@ -1739,7 +1910,7 @@ class _ChunkRows:
                 except ValueError:
                     comp_id = len(components)
                     components.append(row.bandwidth)
-                inserted.append((k, num_bundles + role, placed, agg_id, comp_id, order))
+                inserted.append((k, num_slots + role, placed, agg_id, comp_id, order))
                 values.append((row_demand, row_growth, float(flows), row.delay_utility))
                 links.append(row.link_indices)
 
@@ -1758,9 +1929,11 @@ class _ChunkRows:
             np.asarray(values, dtype=float).reshape(-1, 4).T
         )
         self.satisfy = self.demand / self.growth
-        self.links = links
+        self.link_counts, self.links = _kept_links(links, sub.link_map)
         self.changed = np.asarray(changed, dtype=np.intp).reshape(-1, 3)
-        self.changed_links = changed_links
+        self.changed_counts, self.changed_links = _kept_links(
+            changed_links, sub.link_map
+        )
         self.num_changes = len(change_ids)
 
 

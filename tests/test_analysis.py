@@ -108,12 +108,21 @@ def test_known_bad_is_flagged_by_exactly_the_expected_rule(fixture, code):
         ("det001_good.py", "DET001"),
         ("det002_good.py", "DET002"),
         ("det003_good.py", "DET003"),
+        ("det003_own_default_rng.py", "DET003"),
         ("mp001_good.py", "MP001"),
         ("exc001_good.py", "EXC001"),
     ],
 )
 def test_known_good_is_clean(fixture, code):
     assert run_fixture(fixture, select=[code]).clean
+
+
+def test_a_modules_own_default_rng_is_no_rng_to_any_rule():
+    """A module that defines and calls its own ``default_rng`` builds no
+    unseeded numpy generator: DET003 reads the bare name as SEED101 does,
+    and no rule flags the file."""
+    report = run_fixture("det003_own_default_rng.py")
+    assert report.clean, [v.render() for v in report.violations]
 
 
 @pytest.mark.parametrize(

@@ -36,6 +36,8 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.state import AllocationState, build_path_sets
 from repro.core.step import _candidate_moves, perform_step
@@ -43,8 +45,9 @@ from repro.exceptions import TrafficModelError
 from repro.experiments.scenarios import build_paper_scenario, build_sweep_scenario
 from repro.experiments.tiered import build_tiered_scenario
 from repro.paths.generator import PathGenerator
-from repro.topology.graph import Path
+from repro.topology.graph import Network, Path
 from repro.traffic.aggregate import AggregateKey
+from repro.traffic.matrix import TrafficMatrix
 from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.compiled import (
     BatchedCandidateScorer,
@@ -53,6 +56,9 @@ from repro.trafficmodel.compiled import (
     _adaptive_batch_size,
 )
 from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.units import kbps, mbps, ms
+from tests.conftest import make_aggregate
+from tests.test_trafficmodel_compiled import random_scenario
 
 
 def scenario_by_name(name: str, tiered_size: str = "small"):
@@ -425,3 +431,218 @@ def test_optimizer_selects_identical_moves(name):
                 break
             escalation += 1
     assert steps >= 1, f"{name} committed no move"
+
+
+# ------------------------------------------------ the scorer's sub-network
+#
+# The scorer solves each step's candidate blocks only on the links some
+# scored candidate can saturate, and scores every bundle crossing none of
+# them at its demand.  The cases below pin the edges of that cut against
+# the moved-state oracle, bit for bit.
+
+
+def diamond() -> Network:
+    """S->T direct (100 Mbps, the hot link), a narrow detour S->A->T
+    (40 Mbps) and a wide detour S->B->T (1 Gbps), all duplex."""
+    network = Network(name="diamond")
+    for name in ("S", "T", "A", "B"):
+        network.add_node(name)
+    network.add_duplex_link("S", "T", capacity_bps=mbps(100), delay_s=ms(5))
+    for hop, capacity in (("A", mbps(40)), ("B", mbps(1000))):
+        network.add_duplex_link("S", hop, capacity_bps=capacity, delay_s=ms(6))
+        network.add_duplex_link(hop, "T", capacity_bps=capacity, delay_s=ms(6))
+    return network
+
+
+#: The hot aggregate: 600 flows of 300 kbps (180 Mbps) on S->T.
+HOT = make_aggregate("S", "T", num_flows=600, demand_bps=kbps(300))
+#: A small aggregate on the wide detour alone (1 Mbps on B->T).
+QUIET = make_aggregate("B", "T", num_flows=10, demand_bps=kbps(100))
+#: A small aggregate on the narrow detour's second hop (2 Mbps on A->T).
+SIDE = make_aggregate("A", "T", num_flows=20, demand_bps=kbps(100))
+
+NARROW, WIDE = ("S", "A", "T"), ("S", "B", "T")
+
+
+def diamond_step(aggregates, rtt_fairness=True):
+    network = diamond()
+    state = AllocationState.initial(network, TrafficMatrix(aggregates))
+    model = TrafficModel(network, TrafficModelConfig(rtt_fairness=rtt_fairness))
+    base = model.evaluate(state.bundles()).compiled
+    return network, state, model, base
+
+
+def kept_links(network, scorer):
+    return {
+        link.link_id for link in network.links if scorer._sub.kept[link.index]
+    }
+
+
+def assert_scores_equal_moved_states(state, model, base, moves, scorer=None):
+    """Score *moves* (with *scorer*, or a fresh one) and check each score,
+    and each column rate, against the moved state's evaluation."""
+    scorer = scorer or BatchedCandidateScorer(model.engine, base)
+    scores = scorer.score([state.move_delta(*move) for move in moves])
+    assert scores == moved_state_scores(model, state, moves, None)
+    _assert_rates_equal_moved_states(model, state, moves)
+    return scorer
+
+
+def test_a_to_row_that_lifts_a_link_past_its_threshold_keeps_it():
+    """Moving half the hot aggregate onto the narrow detour puts 90 Mbps on
+    S->A, which carries nothing in the base: a bound from the base's demand
+    alone would drop the link, yet it saturates in the moved state.  The
+    to-row's growth keeps it, and the score is the moved state's."""
+    network, state, model, base = diamond_step([HOT, QUIET])
+    narrow = network.link("S", "A")
+    result = model.evaluate(state.bundles())
+    assert result.link_demands_bps[narrow.index] == 0.0
+    move = (HOT.key, ("S", "T"), NARROW, 300)
+    moved = model.evaluate(state.with_move(*move).bundles())
+    assert any(
+        outcome.bottleneck_link == narrow.link_id for outcome in moved.outcomes
+    )
+    scorer = assert_scores_equal_moved_states(state, model, base, [move])
+    assert ("S", "A") in kept_links(network, scorer)
+
+
+def test_a_to_row_on_dropped_links_alone_meets_its_demand():
+    """Half the hot aggregate onto the wide detour crosses only links that
+    stay far below their floors: the to-row is scored at its demand."""
+    network, state, model, base = diamond_step([HOT, QUIET])
+    move = (HOT.key, ("S", "T"), WIDE, 300)
+    scorer = assert_scores_equal_moved_states(state, model, base, [move])
+    assert kept_links(network, scorer) == {("S", "T")}
+    rates = scorer._solve_chunk([scorer._parse(state.move_delta(*move))])[0]
+    assert rates[0, len(base)] == 300 * kbps(300)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        (HOT.key, ("S", "T"), WIDE, 600),  # from-row on the kept link
+        (QUIET.key, ("B", "T"), ("B", "S", "T"), 10),  # from-row off it
+        (SIDE.key, ("A", "T"), ("A", "S", "T"), 20),
+    ],
+)
+def test_a_whole_bundle_move_drops_its_from_row(move):
+    """A whole-bundle move removes the from-row: its column keeps zero
+    flows and zero rate whether or not its bundle crossed a kept link."""
+    _, state, model, base = diamond_step([HOT, QUIET, SIDE])
+    assert state.flows_on(move[0], move[1]) == move[3]
+    assert_scores_equal_moved_states(state, model, base, [move])
+
+
+def test_a_state_whose_links_are_all_kept():
+    """Every directed link of a triangle carries more than its capacity, so
+    the sub-network is the whole network."""
+    network = Network(name="hot-triangle")
+    names = ("A", "B", "C")
+    for name in names:
+        network.add_node(name)
+    for i, a in enumerate(names):
+        network.add_duplex_link(
+            a, names[(i + 1) % 3], capacity_bps=mbps(100), delay_s=ms(5)
+        )
+    aggregates = [
+        make_aggregate(a, b, num_flows=500, demand_bps=kbps(300))
+        for a in names
+        for b in names
+        if a != b
+    ]
+    state = AllocationState.initial(network, TrafficMatrix(aggregates))
+    model = TrafficModel(network)
+    base = model.evaluate(state.bundles()).compiled
+    moves = [
+        (aggregate.key, (aggregate.source, aggregate.destination), detour, flows)
+        for aggregate in aggregates
+        for detour in [
+            (aggregate.source,)
+            + tuple(n for n in names if n not in aggregate.key[:2])
+            + (aggregate.destination,)
+        ]
+        for flows in (1, 250, 500)
+    ]
+    scorer = assert_scores_equal_moved_states(state, model, base, moves)
+    assert bool(scorer._sub.kept.all())
+
+
+def test_a_state_where_only_the_visited_link_is_kept():
+    network, state, model, base = diamond_step([HOT, QUIET])
+    moves = [(HOT.key, ("S", "T"), WIDE, flows) for flows in (1, 60, 599, 600)]
+    scorer = assert_scores_equal_moved_states(state, model, base, moves)
+    assert kept_links(network, scorer) == {("S", "T")}
+
+
+def test_a_state_where_no_link_is_kept():
+    """Nothing can saturate: every bundle meets its demand on an empty
+    sub-network."""
+    network, state, model, base = diamond_step([QUIET, SIDE])
+    moves = [
+        (QUIET.key, ("B", "T"), ("B", "S", "T"), 4),
+        (SIDE.key, ("A", "T"), ("A", "S", "T"), 20),
+    ]
+    scorer = assert_scores_equal_moved_states(state, model, base, moves)
+    assert not scorer._sub.kept.any()
+
+
+def test_a_second_patch_list_widens_the_sub_network():
+    """One scorer scores two patch lists; only the second lifts a dropped
+    link (S->A) past its threshold.  Both score as their moved states, the
+    second list's link is kept from then on, and the evaluation count stays
+    one per candidate plus one base pass."""
+    network, state, model, base = diamond_step([HOT, QUIET, SIDE])
+    engine = model.engine
+    first = [(HOT.key, ("S", "T"), WIDE, flows) for flows in (60, 300)]
+    second = [(HOT.key, ("S", "T"), NARROW, flows) for flows in (60, 300)]
+    scorer = BatchedCandidateScorer(engine, base)
+    before = engine.evaluations
+    first_scores = scorer.score([state.move_delta(*move) for move in first])
+    assert engine.evaluations == before + 1 + len(first)
+    assert ("S", "A") not in kept_links(network, scorer)
+    second_scores = scorer.score([state.move_delta(*move) for move in second])
+    assert engine.evaluations == before + 1 + len(first) + len(second)
+    assert ("S", "A") in kept_links(network, scorer)
+    assert first_scores == moved_state_scores(model, state, first, None)
+    assert second_scores == moved_state_scores(model, state, second, None)
+    # The first list still scores bitwise on the widened sub-network.
+    assert_scores_equal_moved_states(state, model, base, first, scorer)
+
+
+def random_state(seed):
+    """:func:`random_scenario`'s bundles as an allocation state."""
+    network, bundles = random_scenario(seed)
+    aggregates, allocations = {}, {}
+    for bundle in bundles:
+        aggregates[bundle.aggregate_key] = bundle.aggregate
+        allocations.setdefault(bundle.aggregate_key, {})[bundle.path] = (
+            bundle.num_flows
+        )
+    matrix = TrafficMatrix(list(aggregates.values()))
+    return network, AllocationState(network, matrix, allocations)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), rtt_fairness=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_random_scenarios_score_as_their_moved_states(seed, rtt_fairness):
+    """On random networks and workloads, every move of 1, half or all of a
+    bundle's flows onto each of its aggregate's three lowest-delay paths
+    scores bitwise as its moved state, and the scorer counts one evaluation
+    per candidate plus one base pass."""
+    network, state = random_state(seed)
+    generator = PathGenerator(network)
+    model = TrafficModel(network, TrafficModelConfig(rtt_fairness=rtt_fairness))
+    base = model.evaluate(state.bundles()).compiled
+    moves = []
+    for key in state.aggregate_keys:
+        for path, held in state.allocation_of(key).items():
+            for to_path in generator.k_shortest(key[0], key[1], 3):
+                if to_path != path:
+                    for flows in sorted({1, max(1, held // 2), held}):
+                        moves.append((key, path, to_path, flows))
+    engine = model.engine
+    before = engine.evaluations
+    scorer = BatchedCandidateScorer(engine, base, batch_size=4)
+    scores = scorer.score([state.move_delta(*move) for move in moves])
+    assert engine.evaluations == before + 1 + len(moves)
+    assert scores == moved_state_scores(model, state, moves, None)

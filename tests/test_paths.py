@@ -10,6 +10,7 @@ from repro.paths.dijkstra import (
     shortest_path,
     shortest_path_or_none,
     shortest_path_tree,
+    shortest_paths_from,
 )
 from repro.paths.generator import AlternativePaths, PathGenerator
 from repro.paths.ksp import k_shortest_paths, k_shortest_paths_or_fewer, path_diversity
@@ -17,6 +18,7 @@ from repro.paths.pathset import PathSet
 from repro.paths.policy import PathPolicy
 from repro.topology.builders import ring_topology, triangle_topology
 from repro.topology.hurricane_electric import reduced_core
+from repro.topology.random_topologies import waxman_topology
 from repro.units import mbps, ms
 
 
@@ -79,6 +81,47 @@ class TestDijkstra:
     def test_all_pairs(self, triangle):
         paths = all_pairs_shortest_paths(triangle)
         assert len(paths) == 6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_search_per_source_equals_the_per_pair_searches(self, seed):
+        """Every source's one search finds, for each requested destination,
+        the per-pair search's path tuple for tuple — under excluded links,
+        and under excluded nodes that are requested destinations too (the
+        per-pair search reaches its own destination, never another's)."""
+        net = waxman_topology(14, alpha=0.6, seed=seed)
+        names = list(net.node_names)
+        excluded_nodes = frozenset(names[3:6])
+        excluded_links = frozenset(link.link_id for link in net.links[::7])
+        for links, nodes in (
+            (frozenset(), frozenset()),
+            (excluded_links, frozenset()),
+            (excluded_links, excluded_nodes),
+        ):
+            for source in names[:5]:
+                found = shortest_paths_from(net, source, names, links, nodes)
+                for destination in names:
+                    expected = (
+                        None
+                        if destination == source
+                        else shortest_path_or_none(
+                            net, source, destination, links, nodes
+                        )
+                    )
+                    assert found.get(destination) == expected
+
+    def test_one_search_breaks_ties_as_the_per_pair_searches(self, ring6):
+        """Equal-delay routes tie; both searches settle them in the same
+        (distance, node name) order, so they pick the same route."""
+        for source in ring6.node_names:
+            found = shortest_paths_from(ring6, source, ring6.node_names)
+            for destination, path in found.items():
+                assert path == shortest_path(ring6, source, destination)
+
+    def test_one_search_rejects_unknown_nodes(self, triangle):
+        with pytest.raises(UnknownNodeError):
+            shortest_paths_from(triangle, "A", ["B", "Z"])
+        with pytest.raises(UnknownNodeError):
+            shortest_paths_from(triangle, "Z", ["B"])
 
     def test_path_exists(self, triangle):
         assert path_exists(triangle, "A", "B")
@@ -286,6 +329,33 @@ class TestPathGenerator:
         assert generator.cache_size == 2
         generator.clear_cache()
         assert generator.cache_size == 0
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            PathPolicy.unrestricted(),
+            PathPolicy(max_hops=2),
+            PathPolicy(forbidden_nodes=frozenset({"POP2", "POP5"})),
+        ],
+    )
+    def test_lowest_delay_paths_equal_per_pair_queries(self, policy):
+        """One search per source gives each destination the policy-compliant
+        path :meth:`lowest_delay_path` gives, and fills the same cache."""
+        net = waxman_topology(12, alpha=0.5, seed=4)
+        names = list(net.node_names)
+        batched = PathGenerator(net, policy)
+        per_pair = PathGenerator(net, policy)
+        for source in names:
+            paths = batched.lowest_delay_paths(source, names)
+            assert paths == {
+                destination: per_pair.lowest_delay_path(source, destination)
+                for destination in names
+            }
+        assert batched.cache_size == per_pair.cache_size == len(names) ** 2
+        assert batched.lowest_delay_paths(names[0], names[:3]) == {
+            name: per_pair.lowest_delay_path(names[0], name) for name in names[:3]
+        }
+        assert batched.cache_size == len(names) ** 2
 
     def test_k_shortest_respects_policy(self, triangle):
         generator = PathGenerator(triangle, PathPolicy(max_hops=1))
