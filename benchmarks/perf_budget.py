@@ -24,7 +24,9 @@ Tolerances are deliberately loose (10–25%): the gate exists to catch real
 regressions — an accidental quadratic loop, a cache that stopped hitting —
 not scheduler noise on shared CI runners.  The calibrated scorer times get
 25%: six full-scale regenerations on one shared 2-core host read 18–19%
-apart between their lowest and highest calibrated values.
+apart between their lowest and highest calibrated values.  The calibrated
+times to converge get 40%: host noise alone moved the 100 Mbps run between
+211 and 267 s, and each regime is a single run of minutes.
 """
 
 from __future__ import annotations
@@ -104,6 +106,15 @@ BUDGET: Dict[str, List[Metric]] = {
             tolerance=0.25,
             higher_is_better=False,
         ),
+    ],
+    "BENCH_converge.json": [
+        Metric(
+            f"calibrated time to converge @{capacity} Mbps (HE-31)",
+            ("regimes", ("capacity_mbps", capacity), "calibrated_wall_clock"),
+            tolerance=0.40,
+            higher_is_better=False,
+        )
+        for capacity in (100, 75)
     ],
     "BENCH_dynamic_loop.json": [
         Metric(

@@ -58,7 +58,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import TrafficModelError
 from repro.topology.graph import Network, Path
@@ -268,20 +267,15 @@ def _gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _csr_entry_order(
-    links: np.ndarray, positions: np.ndarray, num_rows: int, num_cols: int
+    links: np.ndarray, positions: np.ndarray, num_cols: int
 ) -> np.ndarray:
     """Permutation sorting entries row-major (by link) then column-minor.
 
     The (link, position) pairs must be unique — the traffic model guarantees
-    it because paths are simple.  SciPy's COO→CSR conversion is a C counting
-    sort over exactly this key, ~3x faster than a numpy argsort.
+    it because paths are simple — so the keys ``link * num_cols + position``
+    are distinct and one sort of them gives the order.
     """
-    matrix = sparse.coo_matrix(
-        (np.arange(links.shape[0], dtype=np.intp), (links, positions)),
-        shape=(num_rows, num_cols),
-    ).tocsr()
-    matrix.sort_indices()
-    return matrix.data
+    return np.argsort(links * num_cols + positions, kind="stable")
 
 
 def _padded_prefix_into(
@@ -423,7 +417,7 @@ class _SolverLayout:
         # enforces it — so no (link, slot) pair repeats.)
         if flat.size:
             entry_slots = np.repeat(inverse, counts)
-            entry_order = _csr_entry_order(flat, entry_slots, num_links, num_bundles)
+            entry_order = _csr_entry_order(flat, entry_slots, num_bundles)
             csr_links = flat[entry_order]
             self.csr_slots = entry_slots[entry_order]
             self.csr_values = np.repeat(compiled.growth, counts)[entry_order]
@@ -1371,25 +1365,37 @@ class CompiledTrafficModel:
         return self.result_of(compiled, self.solve(compiled))
 
 
-#: Maximum candidates per stacked solve.  Bounds the O(batch x links) argmin
-#: scans of the shared event loop while still amortizing per-solve setup.
-DEFAULT_SCORER_BATCH = 64
+#: Stacked slots a chunk of candidate blocks is sized to.  A block stacks
+#: the sub-network's slots plus two for the rows its move inserts, and each
+#: event round allocates several arrays over every slot of the chunk, so
+#: the budget bounds the scorer's transient memory, while fewer, larger
+#: chunks amortize each round's fixed cost over more blocks.  On the tiered
+#: hot steps, 392 nodes (about 1,060 slots a block) scored slower at 24
+#: blocks than at 32-64, and 776 nodes (about 2,110) slower at 32 than at
+#: 8-16.  HE-31 (about 730 slots) gets 44 blocks.
+SCORER_CHUNK_SLOTS = 32 * 1024
 
-#: Adaptive batch sizing targets about this many stacked links per solve:
-#: per-round work scales with batch x links, so larger topologies run
-#: smaller batches (64 blocks at 500 links, ~12 at 2 600).
-SCORER_BATCH_TARGET_LINKS = 32768
-
-#: Adaptive floor: below this the per-solve fixed costs stop amortizing.
+#: Blocks per chunk are clamped to this range: below the floor each round's
+#: fixed cost stops amortizing, and above the cap a chunk's rounds wait
+#: longer on its slowest block.
 SCORER_BATCH_MIN = 8
+SCORER_BATCH_MAX = 64
 
 
-def _adaptive_batch_size(num_links: int) -> int:
-    """Batch size bounding the stacked system to the target link count."""
+def _blocks_per_chunk(slots_per_block: int) -> int:
+    """Most candidate blocks one stacked solve holds: the slot budget over a
+    block's slots, clamped."""
     return max(
         SCORER_BATCH_MIN,
-        min(DEFAULT_SCORER_BATCH, SCORER_BATCH_TARGET_LINKS // max(num_links, 1)),
+        min(SCORER_BATCH_MAX, SCORER_CHUNK_SLOTS // slots_per_block),
     )
+
+
+def _chunk_bounds(count: int, per_chunk: int) -> List[int]:
+    """Boundaries splitting *count* candidates into the fewest chunks of at
+    most *per_chunk*, whose sizes differ by at most one."""
+    num_chunks = -(-count // per_chunk)
+    return [count * i // max(num_chunks, 1) for i in range(num_chunks + 1)]
 
 
 #: One changed row of a move, resolved against the base: its base column
@@ -1467,6 +1473,11 @@ class BatchedCandidateScorer:
       inserted slots in rank order, and one roll-up scores it over the
       base's columns plus one for a new to-path.
 
+    A score call splits its candidates into the fewest chunks of at most
+    *batch_size* blocks, balanced; by default that is
+    :data:`SCORER_CHUNK_SLOTS` over the sub-network's slots per block,
+    clamped (:func:`_blocks_per_chunk`).  Chunking changes no score.
+
     Every score is *bitwise* the network utility of a full evaluation of
     the moved state, ``model.evaluate(state.with_move(...).bundles())``
     (tests/test_batched_scorer.py keeps that evaluation as the oracle).
@@ -1494,9 +1505,7 @@ class BatchedCandidateScorer:
         weights: Optional[PriorityWeights] = None,
         batch_size: Optional[int] = None,
     ) -> None:
-        if batch_size is None:
-            batch_size = _adaptive_batch_size(engine._capacities.shape[0])
-        elif batch_size < 1:
+        if batch_size is not None and batch_size < 1:
             raise TrafficModelError(
                 f"batch_size must be positive, got {batch_size!r}"
             )
@@ -1567,9 +1576,12 @@ class BatchedCandidateScorer:
         agg_weights = self._agg_weights
         engine.evaluations += len(moves)
         self._cover(moves)
+        assert self._sub is not None
+        per_chunk = self.batch_size or _blocks_per_chunk(len(self._sub.layout) + 2)
+        bounds = _chunk_bounds(len(moves), per_chunk)
         scores: List[float] = []
-        for start in range(0, len(moves), self.batch_size):
-            chunk = self._solve_chunk(moves[start : start + self.batch_size])
+        for start, stop in zip(bounds, bounds[1:]):
+            chunk = self._solve_chunk(moves[start:stop])
             # A move keeps its aggregate's flow total, so every candidate's
             # per-aggregate flows (sums of integers, exact in any order) and
             # weights are the base's.

@@ -48,12 +48,19 @@ from repro.paths.generator import PathGenerator
 from repro.topology.graph import Network, Path
 from repro.traffic.aggregate import AggregateKey
 from repro.traffic.matrix import TrafficMatrix
+from repro.trafficmodel import compiled as compiled_module
 from repro.trafficmodel.bundle import Bundle
 from repro.trafficmodel.compiled import (
+    SCORER_BATCH_MAX,
+    SCORER_BATCH_MIN,
+    SCORER_CHUNK_SLOTS,
     BatchedCandidateScorer,
     CompiledBundles,
     CompiledTrafficModel,
-    _adaptive_batch_size,
+    _blocks_per_chunk,
+    _chunk_bounds,
+    _csr_entry_order,
+    _SolverLayout,
 )
 from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
 from repro.units import kbps, mbps, ms
@@ -94,6 +101,43 @@ def test_solve_equals_solve_batched(name):
     for batch in ([compiled], [compiled] * 2, [compiled] * 7):
         for solution in engine.solve_batched(batch):
             _assert_solutions_equal(single, solution, name)
+
+
+def _lexsort_entry_order(links, positions, num_cols):
+    """Reference entry order: by link, then by position."""
+    return np.lexsort((positions, links))
+
+
+@pytest.mark.parametrize(
+    "count, num_rows, num_cols",
+    [
+        (0, 4, 4),  # empty
+        (1, 3, 5),  # one entry
+        (60, 1, 80),  # one link
+        (3000, 112, 930),  # many links, HE-31's shape
+        (2000, 5, 70_000),  # more than 2**16 columns
+    ],
+)
+def test_csr_entry_order_equals_lexsort(count, num_rows, num_cols):
+    rng = np.random.default_rng(count + num_rows)
+    keys = rng.choice(num_rows * num_cols, size=count, replace=False)
+    links, positions = keys // num_cols, keys % num_cols
+    expected = _lexsort_entry_order(links, positions, num_cols)
+    assert np.array_equal(_csr_entry_order(links, positions, num_cols), expected)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_solver_layout_csr_equals_a_lexsort_layout(name, monkeypatch):
+    """Every CSR array of a compiled list's solver layout is the one a
+    layout built over the reference entry order holds."""
+    scenario = scenario_by_name(name)
+    state = AllocationState.initial(scenario.network, scenario.traffic_matrix)
+    compiled = TrafficModel(scenario.network).engine.compile(state.bundles())
+    layout = _SolverLayout(compiled)
+    monkeypatch.setattr(compiled_module, "_csr_entry_order", _lexsort_entry_order)
+    reference = _SolverLayout(compiled)
+    for field in ("csr_offsets", "csr_counts", "csr_slots", "csr_values", "link_growth"):
+        assert np.array_equal(getattr(layout, field), getattr(reference, field)), field
 
 
 @pytest.mark.parametrize("name", ["he31", "tiered-0"])
@@ -275,9 +319,12 @@ def test_batched_scores_equal_per_move_exactly(hot_step):
     assert scorer.score(hot_step.deltas) == expected  # bitwise, not approx
 
 
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 64])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 64, None, 10_000])
 def test_scores_do_not_depend_on_chunking(hot_step, batch_size):
-    """Chunk boundaries regroup the stacked solve; scores must not move."""
+    """Chunk boundaries regroup the stacked solve; scores must not move.
+    ``None`` sizes chunks from the sub-network; 10,000 holds every
+    candidate in one chunk."""
+    assert len(hot_step.moves) < 10_000
     weights = hot_step.weights
     expected = moved_state_scores(
         hot_step.model, hot_step.state, hot_step.moves, weights
@@ -376,10 +423,29 @@ def test_every_candidate_up_to_level_two_scores_as_its_moved_state(
     _assert_rates_equal_moved_states(model, state, moves)
 
 
-def test_adaptive_batch_size_bounds():
-    assert _adaptive_batch_size(100) == 64  # capped
-    assert _adaptive_batch_size(32768) == 8  # floored
-    assert _adaptive_batch_size(2048) == 16  # in between
+def test_blocks_per_chunk_follow_the_slot_budget():
+    """The slot budget over a block's slots, clamped at both ends and
+    non-increasing in the sub-network's slots."""
+    assert _blocks_per_chunk(3) == SCORER_BATCH_MAX
+    assert _blocks_per_chunk(SCORER_CHUNK_SLOTS) == SCORER_BATCH_MIN
+    assert _blocks_per_chunk(732) == SCORER_CHUNK_SLOTS // 732  # in between
+    sizes = [_blocks_per_chunk(slots) for slots in range(3, 2 * SCORER_CHUNK_SLOTS, 7)]
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert min(sizes) == SCORER_BATCH_MIN and max(sizes) == SCORER_BATCH_MAX
+
+
+@pytest.mark.parametrize("per_chunk", [1, 2, 7, SCORER_BATCH_MIN, SCORER_BATCH_MAX])
+def test_chunk_bounds_are_balanced(per_chunk):
+    """A score call's candidates split into the fewest chunks of at most
+    *per_chunk*, whose sizes differ by at most one and sum to the count."""
+    for count in range(0, 5 * per_chunk + 2):
+        bounds = _chunk_bounds(count, per_chunk)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == count
+        assert sizes.shape[0] == -(-count // per_chunk)
+        if count:
+            assert sizes.max() <= per_chunk
+            assert sizes.max() - sizes.min() <= 1
 
 
 # ------------------------------------------------- identical chosen moves
