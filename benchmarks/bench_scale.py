@@ -3,9 +3,11 @@
 The optimizer's inner loop scores every candidate move of a congested link;
 at internet scale that scoring dominates wall clock.  This benchmark builds
 the hot-path workload exactly as :func:`repro.core.step._best_move` does —
-one compiled base, one ``move_delta`` patch per candidate — and times one
+one compiled base and the step's list of candidate moves — and times one
 :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer` scoring it, as
 the optimizer does, on tiered hierarchical topologies of increasing size.
+The timed region holds the scorer's whole call, each move's resolution
+against the base included.
 
 The headline is the scorer's *calibrated* milliseconds per scored
 candidate: its median wall clock per candidate divided by the median time
@@ -67,10 +69,9 @@ def build_scoring_workload(
 ) -> Dict:
     """The hot-path inputs of one optimizer step.
 
-    Mirrors ``_best_move``: evaluate the initial allocation, take the first
-    congested link that yields candidate moves (small topologies can have
-    congested links whose bundles have nowhere to go), and turn each move
-    into the ``move_delta`` patch the scorer consumes.
+    Mirrors ``_best_move``: evaluate the initial allocation and take the
+    candidate moves of the first congested link that yields any (small
+    topologies can have congested links whose bundles have nowhere to go).
     """
     generator = PathGenerator(network)
     state = AllocationState.initial(network, traffic_matrix, generator)
@@ -78,12 +79,9 @@ def build_scoring_workload(
     result = model.evaluate(state.bundles())
     path_sets = build_path_sets(network, state)
     for link_id in result.congested_links:
-        moves = [
-            (bundle.aggregate_key, bundle.path, candidate, num_to_move)
-            for bundle, candidate, num_to_move in _candidate_moves(
-                link_id, state, path_sets, generator, config, result, 0
-            )
-        ]
+        moves = list(
+            _candidate_moves(link_id, path_sets, generator, config, result, 0)
+        )
         if moves:
             break
     else:
@@ -97,7 +95,6 @@ def build_scoring_workload(
         "state": state,
         "compiled_base": result.compiled,
         "moves": moves,
-        "deltas": [state.move_delta(*move) for move in moves],
     }
 
 
@@ -106,7 +103,7 @@ def score_batched(workload: Dict) -> List[float]:
     scorer = BatchedCandidateScorer(
         workload["model"].engine, workload["compiled_base"], workload["weights"]
     )
-    return scorer.score(workload["deltas"])
+    return scorer.score(workload["moves"])
 
 
 def moved_state_scores(workload: Dict) -> List[float]:

@@ -5,9 +5,10 @@ one path and put them on another — and :class:`AllocationState` is the
 immutable-ish record those moves are applied to.  A state knows how to turn
 itself into the bundle list the traffic model consumes.
 
-The optimizer scores a candidate move as a bundle patch
-(:meth:`AllocationState.move_delta`) and forks a state only for the move it
-commits (:meth:`AllocationState.with_move` copies only the allocation of the
+The optimizer scores a candidate move as the move tuple itself
+(:data:`repro.trafficmodel.compiled.Move`), against the compiled bundle list
+of the state's evaluation, and forks a state only for the move it commits
+(:meth:`AllocationState.with_move` copies only the allocation of the
 affected aggregate).
 """
 
@@ -159,14 +160,6 @@ class AllocationState:
                 bundles.append(Bundle(aggregate=aggregate, path=path, num_flows=flows))
         return bundles
 
-    def bundles_of(self, key: AggregateKey) -> List[Bundle]:
-        """The bundles of a single aggregate."""
-        aggregate = self.traffic_matrix.get(key)
-        return [
-            Bundle(aggregate=aggregate, path=path, num_flows=flows)
-            for path, flows in self.allocation_of(key).items()
-        ]
-
     def total_flows(self) -> int:
         """Total flows across all aggregates (invariant: equals the traffic matrix)."""
         return sum(
@@ -216,13 +209,16 @@ class AllocationState:
         to_path: Path,
         num_flows: int,
     ) -> Dict[Tuple[AggregateKey, Path], Optional[Bundle]]:
-        """The bundle patch a move induces, for the candidate scorer.
+        """The bundle patch a move induces.
 
-        Returns the two changed rows in the shape
-        :class:`repro.trafficmodel.compiled.BatchedCandidateScorer` scores:
-        the shrunk (or removed, when every flow leaves) from-path bundle and
-        the grown (or brand-new) to-path bundle.  The state itself is not
-        modified; commit the winning move with :meth:`with_move`.
+        Returns the two changed rows as a
+        :data:`~repro.trafficmodel.compiled.BundlePatch`: the shrunk (or
+        removed, when every flow leaves) from-path bundle and the grown (or
+        brand-new) to-path bundle.  The state itself is not modified.
+        Nothing in the optimizer calls it: the scorer takes the move tuple.
+        It stays, as ``CompiledTrafficModel.compile_patched`` does, because
+        ``perfbench/tracing.py`` wraps it by name, until the in-tree span
+        recorder of ROADMAP.md item 10 replaces that patch table.
         """
         from_path, to_path, current, aggregate = self._check_move(
             key, from_path, to_path, num_flows

@@ -11,7 +11,7 @@ the current solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.config import FubarConfig
 from repro.core.state import AllocationState
@@ -20,13 +20,9 @@ from repro.paths.generator import PathGenerator
 from repro.paths.pathset import PathSet
 from repro.topology.graph import LinkId, Path
 from repro.traffic.aggregate import AggregateKey
-from repro.trafficmodel.bundle import Bundle
-from repro.trafficmodel.compiled import BatchedCandidateScorer
+from repro.trafficmodel.compiled import BatchedCandidateScorer, Move
 from repro.trafficmodel.result import TrafficModelResult
 from repro.trafficmodel.waterfill import TrafficModel
-
-#: A chosen move: (aggregate key, from path, to path, flows moved).
-_Move = Tuple[AggregateKey, Path, Path, int]
 
 
 @dataclass(frozen=True)
@@ -119,14 +115,13 @@ def candidate_paths_for_bundle(
 
 def _candidate_moves(
     link_id: LinkId,
-    state: AllocationState,
     path_sets: Dict[AggregateKey, PathSet],
     generator: PathGenerator,
     config: FubarConfig,
     current_result: TrafficModelResult,
     escalation_level: int,
-) -> Iterator[Tuple[Bundle, Path, int]]:
-    """Yield every (bundle, candidate path, flows to move) tested by a step."""
+) -> Iterator[Move]:
+    """Yield every move a step on *link_id* tests, in scoring order."""
     for outcome in current_result.outcomes_on_link(link_id):
         bundle = outcome.bundle
         num_to_move = flows_to_move(
@@ -144,12 +139,11 @@ def _candidate_moves(
             config,
         )
         for candidate in candidates:
-            yield bundle, candidate, num_to_move
+            yield bundle.aggregate_key, bundle.path, candidate, num_to_move
 
 
 def _best_move(
     link_id: LinkId,
-    state: AllocationState,
     path_sets: Dict[AggregateKey, PathSet],
     model: TrafficModel,
     generator: PathGenerator,
@@ -157,36 +151,30 @@ def _best_move(
     current_result: TrafficModelResult,
     escalation_level: int,
     utility_now: float,
-) -> Optional[_Move]:
+) -> Optional[Move]:
     """The first candidate move with the best score, or None if none improves.
 
-    Every candidate becomes a ``move_delta`` patch of the two bundles it
-    changes, and one
-    :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer` scores them
-    all in the index space of the bundle list *current_result* solved — no
-    compile, no result objects, no graph walks.  A move must beat
-    *utility_now* (the current weighted utility, summed as the scores are)
-    by ``config.min_utility_improvement``.
+    One :class:`~repro.trafficmodel.compiled.BatchedCandidateScorer` scores
+    the list of candidate moves in the index space of the bundle list
+    *current_result* solved: no bundle, compile, result object or graph
+    walk per candidate.  A move must beat *utility_now* (the current
+    weighted utility, summed as the scores are) by
+    ``config.min_utility_improvement``.
     """
     base = current_result.compiled
     if base is None:
         raise OptimizationError("perform_step needs a result of the compiled engine")
-    best_score = utility_now + config.min_utility_improvement
-    best: Optional[_Move] = None
-
-    moves: List[_Move] = []
-    deltas = []
-    for bundle, candidate, num_to_move in _candidate_moves(
-        link_id, state, path_sets, generator, config, current_result,
-        escalation_level,
-    ):
-        key = bundle.aggregate_key
-        moves.append((key, bundle.path, candidate, num_to_move))
-        deltas.append(state.move_delta(key, bundle.path, candidate, num_to_move))
+    moves = list(
+        _candidate_moves(
+            link_id, path_sets, generator, config, current_result, escalation_level
+        )
+    )
     if not moves:
         return None
+    best_score = utility_now + config.min_utility_improvement
+    best: Optional[Move] = None
     scorer = BatchedCandidateScorer(model.engine, base, config.priority_weights)
-    for move, score in zip(moves, scorer.score(deltas)):
+    for move, score in zip(moves, scorer.score(moves)):
         if score > best_score:
             best_score = score
             best = move
@@ -220,7 +208,6 @@ def perform_step(
     utility_before = current_result.network_utility(weights)
     best = _best_move(
         link_id,
-        state,
         path_sets,
         model,
         generator,

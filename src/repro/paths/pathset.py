@@ -73,13 +73,6 @@ class PathSet:
             raise PathError("path set is empty")
         return min(self._paths, key=self._delays.__getitem__)
 
-    def links_of(self, path: Sequence[str]) -> FrozenSet[LinkId]:
-        """The (cached) set of links a member path traverses."""
-        key = tuple(path)
-        if key not in self._links:
-            raise PathError(f"path {key!r} is not in the path set")
-        return self._links[key]
-
     def paths_avoiding(self, link_id: LinkId) -> Tuple[Path, ...]:
         """Member paths that do not traverse *link_id*."""
         return tuple(

@@ -43,23 +43,7 @@ class Bundle:
             raise TrafficModelError(
                 f"bundle must contain a positive number of flows, got {self.num_flows!r}"
             )
-        if len(self.path) < 2:
-            raise TrafficModelError(f"bundle path must have at least two nodes: {self.path!r}")
-        if len(set(self.path)) != len(self.path):
-            # A non-simple path would cross some link more than once and the
-            # traffic model's incidence accounting (and the RTT of the path)
-            # would no longer describe a deployable route.
-            raise TrafficModelError(f"bundle path visits a node twice: {self.path!r}")
-        if self.path[0] != self.aggregate.source:
-            raise TrafficModelError(
-                f"bundle path starts at {self.path[0]!r} but the aggregate's "
-                f"source is {self.aggregate.source!r}"
-            )
-        if self.path[-1] != self.aggregate.destination:
-            raise TrafficModelError(
-                f"bundle path ends at {self.path[-1]!r} but the aggregate's "
-                f"destination is {self.aggregate.destination!r}"
-            )
+        check_bundle_path(self.aggregate, self.path)
 
     @property
     def aggregate_key(self) -> AggregateKey:
@@ -97,4 +81,26 @@ class Bundle:
             f"Bundle({self.aggregate.source!r}->{self.aggregate.destination!r}, "
             f"class={self.aggregate.traffic_class!r}, flows={self.num_flows}, "
             f"hops={len(self.path) - 1})"
+        )
+
+
+def check_bundle_path(aggregate: Aggregate, path: Path) -> None:
+    """Raise :class:`TrafficModelError` unless *path* is a simple path from
+    the aggregate's source to its destination."""
+    if len(path) < 2:
+        raise TrafficModelError(f"bundle path must have at least two nodes: {path!r}")
+    if len(set(path)) != len(path):
+        # A non-simple path would cross some link more than once and the
+        # traffic model's incidence accounting (and the RTT of the path)
+        # would no longer describe a deployable route.
+        raise TrafficModelError(f"bundle path visits a node twice: {path!r}")
+    if path[0] != aggregate.source:
+        raise TrafficModelError(
+            f"bundle path starts at {path[0]!r} but the aggregate's "
+            f"source is {aggregate.source!r}"
+        )
+    if path[-1] != aggregate.destination:
+        raise TrafficModelError(
+            f"bundle path ends at {path[-1]!r} but the aggregate's "
+            f"destination is {aggregate.destination!r}"
         )

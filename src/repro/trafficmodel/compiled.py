@@ -27,11 +27,13 @@ bundle.  This module removes both costs:
   compiled list.  ``solve`` is the one-block case of the same code path, so
   a batched solve is *bitwise* identical to solving each block alone;
 * :class:`BatchedCandidateScorer` scores every candidate move of an
-  optimization step in the *base's* index space: a move differs from the
-  step's compiled base in two rows, so a candidate block reuses the base
-  layout's order and link segments and rebuilds only the segments the two
-  rows cross — no per-candidate compile, sort or CSR build — before one
-  shared event loop solves the chunk and one roll-up scores it.  Blocks
+  optimization step (:data:`Move`: flows of one aggregate moved from one
+  path to another) in the *base's* index space.  It resolves each move
+  against the base once.  A move differs from the step's compiled base in
+  two rows, so a candidate block reuses the base layout's order and link
+  segments and rebuilds only the segments the two rows cross — no
+  per-candidate bundle, compile, sort or CSR build — before one shared
+  event loop solves the chunk and one roll-up scores it.  Blocks
   are solved only on the links some candidate of the step can saturate,
   and a bundle crossing none of them is scored at its demand.  Each score
   is bitwise the network utility of evaluating the moved state;
@@ -62,7 +64,7 @@ import numpy as np
 from repro.exceptions import TrafficModelError
 from repro.topology.graph import Network, Path
 from repro.traffic.aggregate import Aggregate, AggregateKey
-from repro.trafficmodel.bundle import Bundle
+from repro.trafficmodel.bundle import Bundle, check_bundle_path
 from repro.trafficmodel.result import BundleOutcome, TrafficModelResult
 from repro.trafficmodel.waterfill import (
     _ABS_EPS,
@@ -79,8 +81,13 @@ from repro.utility.aggregation import AggregateUtility, PriorityWeights
 _SWEEP_MARGIN = 1e-9
 
 #: A patch maps (aggregate key, path) to the replacement bundle for that row,
-#: or None to drop the row.  Pairs absent from the base are appended.
+#: or None to drop the row.  Pairs absent from the base are appended.  Only
+#: :meth:`CompiledTrafficModel.compile_patched` reads one.
 BundlePatch = Mapping[Tuple[AggregateKey, Path], Optional[Bundle]]
+
+#: A candidate move (paper Listing 2): flows of one aggregate moved from one
+#: path to another, as (aggregate key, from path, to path, flows moved).
+Move = Tuple[AggregateKey, Path, Path, int]
 
 
 class _BundleRow:
@@ -95,16 +102,16 @@ class _BundleRow:
         "delay_utility",
     )
 
-    def __init__(self, network: Network, bundle: Bundle, min_rtt_s: float) -> None:
-        utility = bundle.aggregate.utility
+    def __init__(
+        self, network: Network, aggregate: Aggregate, path: Path, min_rtt_s: float
+    ) -> None:
+        utility = aggregate.utility
         self.utility = utility
         self.bandwidth = utility.bandwidth
-        self.link_indices = np.asarray(
-            network.path_link_indices(bundle.path), dtype=np.intp
-        )
-        path_delay_s = network.path_delay(bundle.path)
+        self.link_indices = np.asarray(network.path_link_indices(path), dtype=np.intp)
+        path_delay_s = network.path_delay(path)
         self.rtt_s = max(2.0 * path_delay_s, min_rtt_s)
-        self.per_flow_demand_bps = bundle.per_flow_demand_bps
+        self.per_flow_demand_bps = aggregate.per_flow_demand_bps
         self.delay_utility = float(utility.delay(path_delay_s))
 
 
@@ -380,7 +387,7 @@ class _SolverLayout:
     rank order next to their growth rates, and ``link_growth`` holds each
     link's in-order sum of those rates.  Nothing here depends on link
     capacities, so one layout serves every solve of its bundle list — and,
-    through :class:`BatchedCandidateScorer`, every candidate patch of it.
+    through :class:`BatchedCandidateScorer`, every candidate move of it.
     """
 
     __slots__ = (
@@ -1091,28 +1098,27 @@ class CompiledTrafficModel:
 
     # ------------------------------------------------------------------ rows
 
-    def _row_for(self, bundle: Bundle) -> _BundleRow:
-        key = (bundle.aggregate_key, bundle.path)
+    def _row_for(self, aggregate: Aggregate, path: Path) -> _BundleRow:
+        key = (aggregate.key, path)
         row = self._rows.get(key)
         if row is None or not (
-            row.utility is bundle.aggregate.utility
-            or row.utility == bundle.aggregate.utility
+            row.utility is aggregate.utility or row.utility == aggregate.utility
         ):
-            row = _BundleRow(self.network, bundle, self.config.min_rtt_s)
+            row = _BundleRow(self.network, aggregate, path, self.config.min_rtt_s)
             self._rows[key] = row
         return row
 
-    def _growth_of(self, bundle: Bundle, row: _BundleRow) -> float:
+    def _growth_of(self, num_flows: int, row: _BundleRow) -> float:
         if self.config.rtt_fairness:
-            return bundle.num_flows / row.rtt_s
-        return float(bundle.num_flows)
+            return num_flows / row.rtt_s
+        return float(num_flows)
 
     # --------------------------------------------------------------- compile
 
     def compile(self, bundles: Sequence[Bundle]) -> CompiledBundles:
         """Build the dense arrays for *bundles* through the row cache."""
         num_bundles = len(bundles)
-        rows = tuple(self._row_for(bundle) for bundle in bundles)
+        rows = tuple(self._row_for(bundle.aggregate, bundle.path) for bundle in bundles)
 
         demands = np.empty(num_bundles, dtype=float)
         growth = np.empty(num_bundles, dtype=float)
@@ -1132,7 +1138,7 @@ class CompiledTrafficModel:
         for j, bundle in enumerate(bundles):
             row = rows[j]
             demands[j] = bundle.num_flows * row.per_flow_demand_bps
-            growth[j] = self._growth_of(bundle, row)
+            growth[j] = self._growth_of(bundle.num_flows, row)
             flows[j] = float(bundle.num_flows)
             delay_factors[j] = row.delay_utility
 
@@ -1185,7 +1191,7 @@ class CompiledTrafficModel:
         and a pair the base does not hold is appended.  Nothing in the
         optimizer calls it; it stays a plain method of this class because
         ``perfbench/tracing.py`` wraps it by name, until the in-tree span
-        recorder of ROADMAP.md item 7 replaces that patch table.
+        recorder of ROADMAP.md item 10 replaces that patch table.
         """
         pending = {
             (key, tuple(path)): bundle for (key, path), bundle in replacements.items()
@@ -1398,14 +1404,10 @@ def _chunk_bounds(count: int, per_chunk: int) -> List[int]:
     return [count * i // max(num_chunks, 1) for i in range(num_chunks + 1)]
 
 
-#: One changed row of a move, resolved against the base: its base column
-#: (-1 for a new to-path), its path and its bundle after the move (None
-#: when every flow leaves).
-_MoveRow = Tuple[int, Path, Optional[Bundle]]
-
-#: A parsed move patch: the moved aggregate's id, its from-row and its
-#: to-row (both None for an empty patch).
-_Move = Tuple[int, Optional[_MoveRow], Optional[_MoveRow]]
+#: A move resolved against the base: the aggregate's id, the from-row's
+#: column and the flows it keeps, and the to-row's column (-1 for a new
+#: path), its flows after the move and its cached row.
+_Resolved = Tuple[int, int, int, int, int, _BundleRow]
 
 #: A solved chunk's columns: rates, flows, component ids, the component
 #: list, delay factors and aggregate ids.
@@ -1448,15 +1450,19 @@ class _SubNetwork:
 
 
 class BatchedCandidateScorer:
-    """Scores move patches of one compiled base in the base's index space.
+    """Scores candidate moves of one compiled base in the base's index space.
 
-    Every candidate move of an optimization step differs from the step's
-    compiled base in two rows: the from-bundle shrinks (or goes) and the
-    to-bundle grows (or appears).  Instead of compiling, sorting and
-    building a CSR per candidate, the scorer reads every candidate block
-    through the base's solver layout (:attr:`CompiledBundles.layout`), cut
-    to the links the scored candidates can saturate (:class:`_SubNetwork`;
-    a bundle that crosses none of them meets its demand):
+    A move (:data:`Move`) takes flows of one aggregate off one of its paths
+    in the base and puts them on another, so it differs from the step's
+    compiled base in two rows: the from-row shrinks (or goes) and the
+    to-row grows (or appears).  A score call resolves each move against
+    the base once (:data:`_Resolved`: both rows' columns and flows after
+    the move, and the to-row's cached row), and everything after reads
+    that resolution.  Instead of compiling, sorting and building a CSR per
+    candidate, the scorer reads every candidate block through the base's
+    solver layout (:attr:`CompiledBundles.layout`), cut to the links the
+    scored candidates can saturate (:class:`_SubNetwork`; a bundle that
+    crosses none of them meets its demand):
 
     * block *k* keeps the sub-network's *n* rank slots plus two slots for
       the rows the move inserts (the shrunk from-row, the grown or new
@@ -1474,95 +1480,72 @@ class BatchedCandidateScorer:
       base's columns plus one for a new to-path.
 
     A score call splits its candidates into the fewest chunks of at most
-    *batch_size* blocks, balanced; by default that is
-    :data:`SCORER_CHUNK_SLOTS` over the sub-network's slots per block,
-    clamped (:func:`_blocks_per_chunk`).  Chunking changes no score.
+    :func:`_blocks_per_chunk` blocks (:data:`SCORER_CHUNK_SLOTS` over the
+    sub-network's slots per block, clamped), balanced.  Chunking changes
+    no score.
 
     Every score is *bitwise* the network utility of a full evaluation of
-    the moved state, ``model.evaluate(state.with_move(...).bundles())``
+    the moved state, ``model.evaluate(state.with_move(*move).bundles())``
     (tests/test_batched_scorer.py keeps that evaluation as the oracle).
-    Only move-shaped patches are accepted
-    — at most one removed or shrunk row and at most one grown or new row of
-    one aggregate the base holds, moving the same number of flows — and any
-    other patch raises :class:`TrafficModelError`.  Counts one evaluation
-    per candidate, plus one for the base's initial crossing-time pass.
+    A move the base cannot make raises :class:`TrafficModelError` before
+    any evaluation is counted: a from-path the base does not hold, fewer
+    than one flow or more than the from-row holds, a to-path equal to the
+    from-path, or a new to-path :class:`~repro.trafficmodel.bundle.Bundle`
+    would reject (wrong endpoints or a repeated node: the solver's CSR
+    needs simple paths).  Counts one evaluation per candidate, plus one for
+    the base's initial crossing-time pass.
     """
 
-    __slots__ = (
-        "engine",
-        "base",
-        "weights",
-        "batch_size",
-        "_agg_weights",
-        "_headroom",
-        "_sub",
-    )
+    __slots__ = ("engine", "base", "weights", "_agg_weights", "_headroom", "_sub")
 
     def __init__(
         self,
         engine: CompiledTrafficModel,
         base: CompiledBundles,
         weights: Optional[PriorityWeights] = None,
-        batch_size: Optional[int] = None,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
-            raise TrafficModelError(
-                f"batch_size must be positive, got {batch_size!r}"
-            )
         self.engine = engine
         self.base = base
         self.weights = weights
-        self.batch_size = batch_size
         self._agg_weights: Optional[np.ndarray] = None
         #: Demand a candidate must add to each link before it can saturate:
         #: the sweep floor less the base's demand on the link.
         self._headroom: Optional[np.ndarray] = None
         self._sub: Optional[_SubNetwork] = None
 
-    def _parse(self, patch: BundlePatch) -> _Move:
-        """Validate a move patch and resolve its rows against the base."""
+    def _resolve(self, move: Move) -> _Resolved:
+        """Check that the base can make *move* and resolve its two rows."""
+        key, from_path, to_path, flows = move
         base = self.base
-        rows: Dict[str, Tuple[_MoveRow, int]] = {}
-        agg_key: Optional[AggregateKey] = None
-        for (key, path), bundle in patch.items():
-            if agg_key is not None and key != agg_key:
-                raise TrafficModelError(
-                    f"a move patch changes one aggregate, got {agg_key!r} and {key!r}"
-                )
-            agg_key = key
-            path = tuple(path)
-            column = base.index.get((key, path), -1)
-            if column < 0 and bundle is None:
-                raise TrafficModelError(
-                    f"cannot remove unknown bundle ({key!r}, {path!r}) "
-                    "from the compiled base"
-                )
-            held = base.bundles[column].num_flows if column >= 0 else 0
-            flows = 0 if bundle is None else bundle.num_flows
-            role = "from" if flows < held else "to"
-            if flows == held or role in rows:
-                raise TrafficModelError(
-                    f"not a move patch: row ({key!r}, {path!r}) is a second "
-                    f"{role} row or leaves its flows unchanged"
-                )
-            rows[role] = ((column, path, bundle), abs(flows - held))
-        if agg_key is None:
-            return -1, None, None
-        if (
-            len(rows) != 2
-            or rows["from"][1] != rows["to"][1]
-            or agg_key not in base.agg_index
-        ):
+        from_col = base.index.get((key, from_path), -1)
+        if from_col < 0:
             raise TrafficModelError(
-                f"not a move patch of an aggregate the base holds: {agg_key!r} "
-                "needs one shrunk or removed row and one grown or new row "
-                "moving the same number of flows"
+                f"the compiled base holds no bundle ({key!r}, {from_path!r})"
             )
-        return base.agg_index[agg_key], rows["from"][0], rows["to"][0]
+        from_bundle = base.bundles[from_col]
+        held = from_bundle.num_flows
+        if not 1 <= flows <= held:
+            raise TrafficModelError(
+                f"cannot move {flows!r} of the {held} flows of {key!r} on {from_path!r}"
+            )
+        if to_path == from_path:
+            raise TrafficModelError(
+                "cannot move flows onto the path they are already on"
+            )
+        to_col = base.index.get((key, to_path), -1)
+        if to_col >= 0:
+            to_row = base.rows[to_col]
+            to_flows = base.bundles[to_col].num_flows + flows
+        else:
+            check_bundle_path(from_bundle.aggregate, to_path)
+            to_row = self.engine._row_for(from_bundle.aggregate, to_path)
+            to_flows = flows
+        agg_id = int(base.agg_ids[from_col])
+        return agg_id, from_col, held - flows, to_col, to_flows, to_row
 
-    def score(self, patches: Sequence[BundlePatch]) -> List[float]:
-        """Weighted utility of each patched candidate, in input order."""
-        moves = [self._parse(patch) for patch in patches]
+    def score(self, moves: Sequence[Move]) -> List[float]:
+        """Weighted utility of each moved state, in input order."""
+        resolved = [self._resolve(move) for move in moves]
         engine, base = self.engine, self.base
         if self._agg_weights is None:
             self._agg_weights = _aggregate_weights(base, self.weights)
@@ -1575,50 +1558,36 @@ class BatchedCandidateScorer:
             engine.evaluations += 1
         agg_weights = self._agg_weights
         engine.evaluations += len(moves)
-        self._cover(moves)
+        self._cover(resolved)
         assert self._sub is not None
-        per_chunk = self.batch_size or _blocks_per_chunk(len(self._sub.layout) + 2)
+        per_chunk = _blocks_per_chunk(len(self._sub.layout) + 2)
         bounds = _chunk_bounds(len(moves), per_chunk)
         scores: List[float] = []
         for start, stop in zip(bounds, bounds[1:]):
-            chunk = self._solve_chunk(moves[start:stop])
+            chunk = self._solve_chunk(resolved[start:stop])
             # A move keeps its aggregate's flow total, so every candidate's
             # per-aggregate flows (sums of integers, exact in any order) and
             # weights are the base's.
             scores.extend(_weighted_means(_rollup(*chunk, base.agg_flows), agg_weights))
         return scores
 
-    def _cover(self, moves: Sequence[_Move]) -> None:
+    def _cover(self, moves: Sequence[_Resolved]) -> None:
         """Widen the sub-network to every link one of *moves* can saturate.
 
-        A candidate adds demand to a link only through a row whose demand
-        grows (the to-row; the from-row too when its bundle carries another
-        utility), so each link's bound is the base's demand on it plus the
-        largest sum of such growths that one candidate puts on it.  The
-        sub-network only ever widens: every link a patch list scored
-        earlier can saturate stays kept.
+        Both rows of a move belong to one aggregate of the base, so only
+        the to-row can add demand: each link's bound is the base's demand
+        on it plus the largest to-row growth one candidate puts on it.  The
+        sub-network only ever widens: every link a move list scored earlier
+        can saturate stays kept.
         """
-        engine, base = self.engine, self.base
+        base = self.base
         assert self._headroom is not None
         lifted: List[np.ndarray] = []
         lifts: List[float] = []
-        for _, from_row, to_row in moves:
-            lift = 0.0
-            grown: List[np.ndarray] = []
-            for move_row in (from_row, to_row):
-                if move_row is None:
-                    continue
-                column, _, bundle = move_row
-                if bundle is None:
-                    continue
-                row = engine._row_for(bundle)
-                held = base.demands[column] if column >= 0 else 0.0
-                growth = bundle.num_flows * row.per_flow_demand_bps - held
-                if growth > 0.0:
-                    lift += growth
-                    grown.append(row.link_indices)
-            lifted.extend(grown)
-            lifts.extend([lift] * len(grown))
+        for _, _, _, to_col, to_flows, to_row in moves:
+            held = base.demands[to_col] if to_col >= 0 else 0.0
+            lifted.append(to_row.link_indices)
+            lifts.append(to_flows * to_row.per_flow_demand_bps - held)
         link_lift = np.zeros(base.num_links, dtype=float)
         if lifted:
             np.maximum.at(
@@ -1631,10 +1600,10 @@ class BatchedCandidateScorer:
             if not (kept & ~self._sub.kept).any():
                 return
             kept |= self._sub.kept
-        self._sub = _SubNetwork(base.layout, kept, engine._capacities)
+        self._sub = _SubNetwork(base.layout, kept, self.engine._capacities)
 
-    def _solve_chunk(self, moves: Sequence[_Move]) -> _ChunkColumns:
-        """Solve one chunk of parsed moves as one stacked system.
+    def _solve_chunk(self, moves: Sequence[_Resolved]) -> _ChunkColumns:
+        """Solve one chunk of resolved moves as one stacked system.
 
         Returns the chunk's per-column (blocks x (n + 1)) rates, flows,
         component ids, component list, delay factors and aggregate ids, in
@@ -1670,7 +1639,7 @@ class BatchedCandidateScorer:
         col_comp[blocks, cols] = rows.comp_ids
         col_delay[blocks, cols] = rows.delay
         col_agg[blocks, cols] = rows.agg_ids
-        return col_rates, col_flows, col_comp, rows.components, col_delay, col_agg
+        return col_rates, col_flows, col_comp, base.components, col_delay, col_agg
 
     def _system(self, sub: _SubNetwork, rows: "_ChunkRows") -> _Waterfall:
         """The chunk's stacked system on the sub-network, with every link's
@@ -1829,23 +1798,24 @@ def _tiled(
 
 
 class _ChunkRows:
-    """The rows a chunk of moves touches and inserts, block by block.
+    """The rows a chunk of resolved moves touches and inserts, block by block.
 
     A *touched* row is a base row the move changes (its slot, when it has
     one on the sub-network, starts inactive); an *inserted* row is the row
     after the move (the shrunk from-row in slot ``n``, the grown or new
-    to-row in slot ``n + 1``, for the sub-network's *n* slots).  ``order``
-    is an inserted row's place among its block's inserted rows in the
-    stable (satisfy time, column) order.  A *change* is one row's new
-    state — path and flows — numbered so that blocks making the same change
-    can share the segments it rebuilds.  Every link list is cut to the
-    sub-network's links and renumbered: ``links`` concatenates the
-    inserted rows' (``link_counts`` each), ``changed_links`` the changes'.
+    to-row in slot ``n + 1``, for the sub-network's *n* slots).  Both are
+    rows of the base's aggregate, so they take its component id from the
+    base.  ``order`` is an inserted row's place among its block's inserted
+    rows in the stable (satisfy time, column) order.  A *change* is one
+    row's new state — its cached row, one per (aggregate, path), and its
+    flows — numbered so that blocks making the same change can share the
+    segments it rebuilds.  Every link list is cut to the sub-network's
+    links and renumbered: ``links`` concatenates the inserted rows'
+    (``link_counts`` each), ``changed_links`` the changes'.
     """
 
     __slots__ = (
         "num_blocks",
-        "components",
         "touched",
         "blocks",
         "slots",
@@ -1871,10 +1841,9 @@ class _ChunkRows:
         engine: CompiledTrafficModel,
         base: CompiledBundles,
         sub: _SubNetwork,
-        moves: Sequence[_Move],
+        moves: Sequence[_Resolved],
     ) -> None:
         num_bundles, num_slots = len(base), len(sub.layout)
-        components = list(base.components)
         touched: List[Tuple[int, int, int]] = []  # block, role, base column
         # block, slot, column, aggregate id, component id, order in block
         inserted: List[Tuple[int, int, int, int, int, int]] = []
@@ -1882,23 +1851,18 @@ class _ChunkRows:
         links: List[np.ndarray] = []
         changed: List[Tuple[int, int, int]] = []  # block, role, change id
         changed_links: List[np.ndarray] = []
-        change_ids: Dict[Tuple[int, Path, int], int] = {}
-        for k, (agg_id, from_row, to_row) in enumerate(moves):
+        change_ids: Dict[Tuple[_BundleRow, int], int] = {}
+        for k, (agg_id, from_col, kept, to_col, to_flows, to_row) in enumerate(moves):
             block_rows: List[Tuple[float, int, int, _BundleRow, float, float, int]] = []
-            for role, move_row in enumerate((from_row, to_row)):
-                if move_row is None:
-                    continue
-                column, path, bundle = move_row
+            for role, column, row, flows in (
+                (0, from_col, base.rows[from_col], kept),
+                (1, to_col, to_row, to_flows),
+            ):
                 if column >= 0:
                     touched.append((k, role, column))
-                flows = 0 if bundle is None else bundle.num_flows
-                if bundle is None:
-                    row_links = base.rows[column].link_indices
-                else:
-                    row = engine._row_for(bundle)
-                    row_links = row.link_indices
+                if flows:
                     row_demand = flows * row.per_flow_demand_bps
-                    row_growth = engine._growth_of(bundle, row)
+                    row_growth = engine._growth_of(flows, row)
                     placed = column if column >= 0 else num_bundles
                     block_rows.append(
                         (
@@ -1911,23 +1875,18 @@ class _ChunkRows:
                             flows,
                         )
                     )
-                change = change_ids.setdefault((agg_id, path, flows), len(change_ids))
+                change = change_ids.setdefault((row, flows), len(change_ids))
                 changed.append((k, role, change))
-                changed_links.append(row_links)
+                changed_links.append(row.link_indices)
             block_rows.sort(key=lambda item: (item[0], item[1]))
+            comp_id = int(base.comp_ids[from_col])
             for order, block_row in enumerate(block_rows):
                 _, placed, role, row, row_demand, row_growth, flows = block_row
-                try:
-                    comp_id = components.index(row.bandwidth)
-                except ValueError:
-                    comp_id = len(components)
-                    components.append(row.bandwidth)
                 inserted.append((k, num_slots + role, placed, agg_id, comp_id, order))
                 values.append((row_demand, row_growth, float(flows), row.delay_utility))
                 links.append(row.link_indices)
 
         self.num_blocks = len(moves)
-        self.components = components
         self.touched = np.asarray(touched, dtype=np.intp).reshape(-1, 3)
         (
             self.blocks,

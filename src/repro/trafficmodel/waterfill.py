@@ -20,7 +20,7 @@ Two implementations live side by side:
   and is kept as the ground truth the fast engine is tested against.
 * :class:`~repro.trafficmodel.compiled.CompiledTrafficModel` — the
   compiled/incremental engine the optimizer actually runs.  It caches
-  per-(aggregate, path) rows, patches only the rows a candidate move changes,
+  per-(aggregate, path) rows, rebuilds only the rows a candidate move changes,
   and collapses demand-satisfaction events into closed form so the solve
   loop runs one round per saturated link.  :class:`TrafficModel` below is a
   thin wrapper around it, preserving the historical API — important because

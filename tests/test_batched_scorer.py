@@ -7,7 +7,7 @@ with that definition, which this suite keeps as its oracle: a full
 evaluation of the moved state,
 ``model.evaluate(state.with_move(...).bundles()).network_utility(weights)``
 — the public path ``perform_step`` commits a move through, sharing no code
-with the scorer's patch parsing or base-space layout.  The optimizer must
+with the scorer's move resolution or base-space layout.  The optimizer must
 select the move the oracle selects.  This suite locks that in three layers:
 
 1. Solves — rates and bottleneck attribution of a block solved alone equal
@@ -21,7 +21,7 @@ select the move the oracle selects.  This suite locks that in three layers:
    seeds, with and without RTT fairness (tied satisfy times), in every
    chunking, and for every candidate of every congested link at escalation
    levels 0-2 — whole-bundle moves included, whose from-row goes, so a
-   recompile of the patched list would renumber the moved aggregate and
+   recompile of the moved list would renumber the moved aggregate and
    sum the roll-up in another order.
 3. Moves — every move ``perform_step`` commits is the first-best candidate
    by the oracle's scores, and a step reports no progress exactly when no
@@ -32,7 +32,8 @@ select the move the oracle selects.  This suite locks that in three layers:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from collections import Counter
+from typing import Dict, List, NamedTuple
 
 import numpy as np
 import pytest
@@ -40,12 +41,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.state import AllocationState, build_path_sets
-from repro.core.step import _candidate_moves, perform_step
+from repro.core.step import _best_move, _candidate_moves, perform_step
 from repro.exceptions import TrafficModelError
 from repro.experiments.scenarios import build_paper_scenario, build_sweep_scenario
 from repro.experiments.tiered import build_tiered_scenario
 from repro.paths.generator import PathGenerator
-from repro.topology.graph import Network, Path
+from repro.paths.pathset import PathSet
+from repro.topology.graph import LinkId, Network
 from repro.traffic.aggregate import AggregateKey
 from repro.traffic.matrix import TrafficMatrix
 from repro.trafficmodel import compiled as compiled_module
@@ -57,11 +59,13 @@ from repro.trafficmodel.compiled import (
     BatchedCandidateScorer,
     CompiledBundles,
     CompiledTrafficModel,
+    Move,
     _blocks_per_chunk,
     _chunk_bounds,
     _csr_entry_order,
     _SolverLayout,
 )
+from repro.trafficmodel.result import TrafficModelResult
 from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
 from repro.units import kbps, mbps, ms
 from tests.conftest import make_aggregate
@@ -164,66 +168,105 @@ def test_scorer_rates_equal_cold_solves(hot_step):
     _assert_rates_equal_moved_states(hot_step.model, hot_step.state, hot_step.moves)
 
 
-def test_scorer_rejects_non_move_patches(hot_step):
-    """Only move-shaped patches are scored; anything else raises before a
-    single evaluation is counted."""
-    engine, base, deltas = hot_step.engine, hot_step.base, hot_step.deltas
-    (from_row, shrunk), (to_row, grown) = deltas[0].items()
-    other = next(b for b in base.bundles if b.aggregate_key != from_row[0])
-    other_row = (other.aggregate_key, other.path)
-    not_moves = [
-        {from_row: shrunk},  # flows leave and arrive nowhere
-        {to_row: grown},  # flows arrive from nowhere
-        {from_row: shrunk, to_row: grown.with_num_flows(grown.num_flows + 1)},
-        {**deltas[0], other_row: None},  # a second aggregate
-        {other_row: other},  # a row left unchanged
-        {(from_row[0], ("nowhere", "else")): None},  # unknown row removed
-    ]
-    scorer = BatchedCandidateScorer(engine, base)
+def _not_a_move(case, hot_step):
+    """The hot step's first move, altered to one the base cannot make."""
+    key, from_path, to_path, flows = hot_step.moves[0]
+    held = hot_step.state.flows_on(key, from_path)
+    stranger = next(
+        node
+        for node in hot_step.scenario.network.node_names
+        if node not in from_path + to_path
+    )
+    return {
+        "unknown from-path": (key, (key[0], stranger, key[1]), to_path, flows),
+        "no flow": (key, from_path, to_path, 0),
+        "more flows than held": (key, from_path, to_path, held + 1),
+        "onto its own path": (key, from_path, from_path, flows),
+        "wrong source": (key, from_path, (stranger,) + to_path[1:], flows),
+        "wrong destination": (key, from_path, to_path[:-1] + (stranger,), flows),
+        "repeated node": (key, from_path, to_path[:2] + to_path, flows),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("unknown from-path", "holds no bundle"),
+        ("no flow", "cannot move 0"),
+        ("more flows than held", "cannot move"),
+        ("onto its own path", "already on"),
+        ("wrong source", "starts at"),
+        ("wrong destination", "ends at"),
+        ("repeated node", "visits a node twice"),
+    ],
+)
+def test_scorer_rejects_moves_the_base_cannot_make(hot_step, case, message):
+    """A move the base cannot make raises before a single evaluation is
+    counted, even after a valid move in the same list.  A new to-path must
+    be one a :class:`Bundle` accepts: the solver's CSR needs simple paths."""
+    engine, moves = hot_step.engine, hot_step.moves
+    move = _not_a_move(case, hot_step)
+    scorer = BatchedCandidateScorer(engine, hot_step.base)
     before = engine.evaluations
-    for patch in not_moves:
-        with pytest.raises(TrafficModelError):
-            scorer.score([deltas[0], patch])
+    with pytest.raises(TrafficModelError, match=message):
+        scorer.score([moves[0], move])
     assert engine.evaluations == before
 
 
-def test_scorer_scores_an_empty_patch_as_the_base(hot_step):
-    """A patch that moves nothing is move-shaped (no from-row, no to-row)
-    and scores as the unmoved state, next to a real move in one chunk."""
-    model, state, weights = hot_step.model, hot_step.state, hot_step.weights
-    unmoved = model.evaluate(state.bundles()).network_utility(weights)
-    expected = [unmoved] + moved_state_scores(
-        model, state, hot_step.moves[:1], weights
-    ) + [unmoved]
-    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
-    assert scorer.score([{}, hot_step.deltas[0], {}]) == expected
-
-
 def test_scorer_counts_base_pass_and_candidates(hot_step):
-    engine, base, deltas = hot_step.engine, hot_step.base, hot_step.deltas
+    engine, base, moves = hot_step.engine, hot_step.base, hot_step.moves
     scorer = BatchedCandidateScorer(engine, base)
     before = engine.evaluations
-    scorer.score(deltas)
-    assert engine.evaluations == before + 1 + len(deltas)
-    scorer.score(deltas[:2])
-    assert engine.evaluations == before + 1 + len(deltas) + 2
+    scorer.score(moves)
+    assert engine.evaluations == before + 1 + len(moves)
+    scorer.score(moves[:2])
+    assert engine.evaluations == before + 1 + len(moves) + 2
+
+
+def test_scoring_a_link_visit_constructs_no_bundle(hot_step, monkeypatch):
+    """``_best_move`` scores the move tuples it built, so a link visit
+    constructs no :class:`Bundle` (a ``move_delta`` patch per candidate
+    built one or two)."""
+    constructed = []
+    post_init = Bundle.__post_init__
+
+    def counted(bundle):
+        constructed.append(bundle)
+        post_init(bundle)
+
+    monkeypatch.setattr(Bundle, "__post_init__", counted)
+    config, engine = hot_step.scenario.fubar_config, hot_step.engine
+    before = engine.evaluations
+    _best_move(
+        hot_step.link_id,
+        hot_step.path_sets,
+        hot_step.model,
+        hot_step.generator,
+        config,
+        hot_step.result,
+        0,
+        hot_step.result.network_utility(hot_step.weights),
+    )
+    assert engine.evaluations == before + 1 + len(hot_step.moves)
+    assert constructed == []
+    hot_step.state.move_delta(*hot_step.moves[0])
+    assert constructed, "the counter sees a construction"
 
 
 # --------------------------------------------------------- score equality
 
 
-#: A move: aggregate key, from-path, to-path and flows moved.
-Move = Tuple[AggregateKey, Path, Path, int]
-
-
 class HotStep(NamedTuple):
-    """The inputs of one optimizer step: its state, compiled base and the
+    """The inputs of one optimizer step: its state and evaluation, and the
     candidate moves of its first congested link with movable bundles."""
 
     scenario: object
     model: TrafficModel
+    generator: PathGenerator
     state: AllocationState
-    base: CompiledBundles
+    path_sets: Dict[AggregateKey, PathSet]
+    result: TrafficModelResult
+    link_id: LinkId
     moves: List[Move]
 
     @property
@@ -231,22 +274,20 @@ class HotStep(NamedTuple):
         return self.model.engine
 
     @property
+    def base(self) -> CompiledBundles:
+        return self.result.compiled
+
+    @property
     def weights(self):
         return self.scenario.fubar_config.priority_weights
 
-    @property
-    def deltas(self):
-        return [self.state.move_delta(*move) for move in self.moves]
 
-
-def candidate_moves(state, path_sets, generator, config, result, link_id, level):
-    """The moves ``perform_step`` scores on *link_id* at escalation *level*."""
-    return [
-        (bundle.aggregate_key, bundle.path, to_path, flows)
-        for bundle, to_path, flows in _candidate_moves(
-            link_id, state, path_sets, generator, config, result, level
-        )
-    ]
+def force_chunk_blocks(monkeypatch, blocks):
+    """Make every score call's chunks hold *blocks* blocks (None keeps the
+    slot-budget rule)."""
+    if blocks is not None:
+        monkeypatch.setattr(compiled_module, "SCORER_BATCH_MIN", blocks)
+        monkeypatch.setattr(compiled_module, "SCORER_BATCH_MAX", blocks)
 
 
 @pytest.fixture(scope="module")
@@ -268,13 +309,17 @@ def hot_step():
     path_sets = build_path_sets(network, state)
     moves: List[Move] = []
     for link_id in result.congested_links:
-        moves = candidate_moves(
-            state, path_sets, generator, scenario.fubar_config, result, link_id, 0
+        moves = list(
+            _candidate_moves(
+                link_id, path_sets, generator, scenario.fubar_config, result, 0
+            )
         )
         if moves:
             break
     assert moves, "the HE core should yield candidate moves"
-    return HotStep(scenario, model, state, result.compiled, moves)
+    return HotStep(
+        scenario, model, generator, state, path_sets, result, link_id, moves
+    )
 
 
 def moved_state_scores(model, state, moves, weights):
@@ -292,11 +337,8 @@ def _assert_rates_equal_moved_states(model, state, moves):
     engine = model.engine
     base = engine.compile(state.bundles())
     scorer = BatchedCandidateScorer(engine, base)
-    deltas = [state.move_delta(*move) for move in moves]
-    scorer.score(deltas)  # computes the base's crossing times
-    rates, flows = scorer._solve_chunk(
-        [scorer._parse(delta) for delta in deltas]
-    )[:2]
+    scorer.score(moves)  # computes the base's crossing times
+    rates, flows = scorer._solve_chunk([scorer._resolve(move) for move in moves])[:2]
     for k, move in enumerate(moves):
         moved = model.evaluate(state.with_move(*move).bundles())
         expected_rates = np.zeros(len(base) + 1)
@@ -316,11 +358,11 @@ def test_batched_scores_equal_per_move_exactly(hot_step):
         hot_step.model, hot_step.state, hot_step.moves, weights
     )
     scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
-    assert scorer.score(hot_step.deltas) == expected  # bitwise, not approx
+    assert scorer.score(hot_step.moves) == expected  # bitwise, not approx
 
 
-@pytest.mark.parametrize("batch_size", [1, 2, 3, 64, None, 10_000])
-def test_scores_do_not_depend_on_chunking(hot_step, batch_size):
+@pytest.mark.parametrize("blocks", [1, 2, 3, 64, None, 10_000])
+def test_scores_do_not_depend_on_chunking(hot_step, blocks, monkeypatch):
     """Chunk boundaries regroup the stacked solve; scores must not move.
     ``None`` sizes chunks from the sub-network; 10,000 holds every
     candidate in one chunk."""
@@ -329,10 +371,9 @@ def test_scores_do_not_depend_on_chunking(hot_step, batch_size):
     expected = moved_state_scores(
         hot_step.model, hot_step.state, hot_step.moves, weights
     )
-    scorer = BatchedCandidateScorer(
-        hot_step.engine, hot_step.base, weights, batch_size=batch_size
-    )
-    assert scorer.score(hot_step.deltas) == expected
+    force_chunk_blocks(monkeypatch, blocks)
+    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
+    assert scorer.score(hot_step.moves) == expected
 
 
 def test_batched_scores_equal_per_move_with_tied_satisfy_times(hot_step):
@@ -347,41 +388,11 @@ def test_batched_scores_equal_per_move_with_tied_satisfy_times(hot_step):
     satisfy = base.layout.satisfy
     assert np.unique(satisfy).shape[0] < satisfy.shape[0] // 2
     expected = moved_state_scores(model, state, moves, weights)
-    for batch_size in (None, 3):
-        scorer = BatchedCandidateScorer(
-            model.engine, base, weights, batch_size=batch_size
-        )
-        assert scorer.score(hot_step.deltas) == expected
-
-
-def test_batched_scores_equal_per_move_with_rebuilt_utility(hot_step):
-    """Moves whose rows carry a rebuilt utility (three times the demand, so
-    a bandwidth curve the base does not hold) are scored on their own curve
-    and satisfy times, bitwise as the moved state with those rows rebuilt."""
-    model, state, weights = hot_step.model, hot_step.state, hot_step.weights
-    patches, expected = [], []
-    for move, delta in zip(hot_step.moves, hot_step.deltas):
-        aggregate = state.traffic_matrix.get(move[0])
-        rebuilt = aggregate.with_utility(
-            aggregate.utility.with_demand(aggregate.utility.demand_bps * 3.0)
-        )
-
-        def rebuild(bundle):
-            return Bundle(rebuilt, bundle.path, bundle.num_flows)
-
-        patches.append(
-            {
-                row: None if bundle is None else rebuild(bundle)
-                for row, bundle in delta.items()
-            }
-        )
-        moved = [
-            rebuild(bundle) if (bundle.aggregate_key, bundle.path) in delta else bundle
-            for bundle in state.with_move(*move).bundles()
-        ]
-        expected.append(model.evaluate(moved).network_utility(weights))
-    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
-    assert scorer.score(patches) == expected
+    for blocks in (None, 3):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_chunk_blocks(monkeypatch, blocks)
+            scorer = BatchedCandidateScorer(model.engine, base, weights)
+            assert scorer.score(moves) == expected
 
 
 @pytest.mark.parametrize("rtt_fairness", [True, False])
@@ -412,13 +423,13 @@ def test_every_candidate_up_to_level_two_scores_as_its_moved_state(
         move
         for link_id in result.congested_links
         for level in range(3)
-        for move in candidate_moves(
-            state, path_sets, generator, config, result, link_id, level
+        for move in _candidate_moves(
+            link_id, path_sets, generator, config, result, level
         )
     ]
     assert sum(state.flows_on(key, path) == n for key, path, _, n in moves) > 0
     scorer = BatchedCandidateScorer(model.engine, base, weights)
-    scores = scorer.score([state.move_delta(*move) for move in moves])
+    scores = scorer.score(moves)
     assert scores == moved_state_scores(model, state, moves, weights)
     _assert_rates_equal_moved_states(model, state, moves)
 
@@ -473,12 +484,13 @@ def test_optimizer_selects_identical_moves(name):
         base = result.compiled
         threshold = result.network_utility(weights) + config.min_utility_improvement
         for link_id in result.congested_links_by_oversubscription():
-            moves = candidate_moves(
-                state, path_sets, generator, config, result, link_id, escalation
+            moves = list(
+                _candidate_moves(
+                    link_id, path_sets, generator, config, result, escalation
+                )
             )
-            deltas = [state.move_delta(*move) for move in moves]
             scores = moved_state_scores(model, state, moves, weights)
-            assert BatchedCandidateScorer(engine, base, weights).score(deltas) == scores
+            assert BatchedCandidateScorer(engine, base, weights).score(moves) == scores
             step = perform_step(
                 link_id, state, path_sets, model, generator, config, result,
                 escalation,
@@ -548,7 +560,7 @@ def assert_scores_equal_moved_states(state, model, base, moves, scorer=None):
     """Score *moves* (with *scorer*, or a fresh one) and check each score,
     and each column rate, against the moved state's evaluation."""
     scorer = scorer or BatchedCandidateScorer(model.engine, base)
-    scores = scorer.score([state.move_delta(*move) for move in moves])
+    scores = scorer.score(moves)
     assert scores == moved_state_scores(model, state, moves, None)
     _assert_rates_equal_moved_states(model, state, moves)
     return scorer
@@ -579,7 +591,7 @@ def test_a_to_row_on_dropped_links_alone_meets_its_demand():
     move = (HOT.key, ("S", "T"), WIDE, 300)
     scorer = assert_scores_equal_moved_states(state, model, base, [move])
     assert kept_links(network, scorer) == {("S", "T")}
-    rates = scorer._solve_chunk([scorer._parse(state.move_delta(*move))])[0]
+    rates = scorer._solve_chunk([scorer._resolve(move)])[0]
     assert rates[0, len(base)] == 300 * kbps(300)
 
 
@@ -652,8 +664,8 @@ def test_a_state_where_no_link_is_kept():
     assert not scorer._sub.kept.any()
 
 
-def test_a_second_patch_list_widens_the_sub_network():
-    """One scorer scores two patch lists; only the second lifts a dropped
+def test_a_second_move_list_widens_the_sub_network():
+    """One scorer scores two move lists; only the second lifts a dropped
     link (S->A) past its threshold.  Both score as their moved states, the
     second list's link is kept from then on, and the evaluation count stays
     one per candidate plus one base pass."""
@@ -663,16 +675,44 @@ def test_a_second_patch_list_widens_the_sub_network():
     second = [(HOT.key, ("S", "T"), NARROW, flows) for flows in (60, 300)]
     scorer = BatchedCandidateScorer(engine, base)
     before = engine.evaluations
-    first_scores = scorer.score([state.move_delta(*move) for move in first])
+    first_scores = scorer.score(first)
     assert engine.evaluations == before + 1 + len(first)
     assert ("S", "A") not in kept_links(network, scorer)
-    second_scores = scorer.score([state.move_delta(*move) for move in second])
+    second_scores = scorer.score(second)
     assert engine.evaluations == before + 1 + len(first) + len(second)
     assert ("S", "A") in kept_links(network, scorer)
     assert first_scores == moved_state_scores(model, state, first, None)
     assert second_scores == moved_state_scores(model, state, second, None)
     # The first list still scores bitwise on the widened sub-network.
     assert_scores_equal_moved_states(state, model, base, first, scorer)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        (HOT.key, ("S", "T"), NARROW, 100),  # part of a bundle, new path
+        (HOT.key, ("S", "T"), WIDE, 100),  # part of a bundle, held path
+        (HOT.key, WIDE, ("S", "T"), 300),  # a whole bundle, held path
+        (HOT.key, WIDE, NARROW, 300),  # a whole bundle, new path
+    ],
+)
+def test_move_delta_compiles_to_the_moved_state(move):
+    """``move_delta`` stays for perfbench's patch table: its patch, applied
+    to the compiled state by ``compile_patched``, holds the moved state's
+    bundles."""
+    _, state, model, _ = diamond_step([HOT, QUIET])
+    state = state.with_move(HOT.key, ("S", "T"), WIDE, 300)
+    engine = model.engine
+    patched = engine.compile_patched(
+        engine.compile(state.bundles()), state.move_delta(*move)
+    )
+
+    def multiset(bundles):
+        return Counter(
+            (bundle.aggregate_key, bundle.path, bundle.num_flows) for bundle in bundles
+        )
+
+    assert multiset(patched.bundles) == multiset(state.with_move(*move).bundles())
 
 
 def random_state(seed):
@@ -708,7 +748,8 @@ def test_random_scenarios_score_as_their_moved_states(seed, rtt_fairness):
                         moves.append((key, path, to_path, flows))
     engine = model.engine
     before = engine.evaluations
-    scorer = BatchedCandidateScorer(engine, base, batch_size=4)
-    scores = scorer.score([state.move_delta(*move) for move in moves])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_chunk_blocks(monkeypatch, 4)
+        scores = BatchedCandidateScorer(engine, base).score(moves)
     assert engine.evaluations == before + 1 + len(moves)
     assert scores == moved_state_scores(model, state, moves, None)
