@@ -10,7 +10,7 @@ budget of minutes".  Each regime records:
   termination reason — steps, evaluations and utility are deterministic;
 * the times (and steps) at which the run first reached 50, 90 and 99 % of
   its final utility gain over the lowest-delay start, read from the trace
-  points ``record_every_step`` captures after every committed move;
+  points the recorder captures after every committed move;
 * the median time of :func:`benchmarks.conftest.calibration_kernel`, run in
   the same process before and after the regime, and the wall clock divided
   by it (``calibrated_wall_clock``, a count of kernel runs), which the perf
@@ -127,7 +127,7 @@ def measure_regime(capacity_mbps: int) -> Dict:
         provisioned=capacity_mbps == 100, seed=MATRIX_SEED, num_pops=31
     )
     config = scenario.fubar_config
-    assert config.max_steps is None and config.record_every_step
+    assert config.max_steps is None
     before = _kernel_samples()
     result = Fubar(scenario.network, config).optimize(scenario.traffic_matrix).result
     after = _kernel_samples()

@@ -101,7 +101,7 @@ def build_scoring_workload(
 def score_batched(workload: Dict) -> List[float]:
     """Score every candidate as the optimizer does: one fresh scorer."""
     scorer = BatchedCandidateScorer(
-        workload["model"].engine, workload["compiled_base"], workload["weights"]
+        workload["model"], workload["compiled_base"], workload["weights"]
     )
     return scorer.score(workload["moves"])
 

@@ -417,7 +417,7 @@ PROJECT_SIGNATURE_SPECS: Tuple[object, ...] = (
         class_name="CellSpec",
     ),
     FrozenKeySpec(
-        class_module="repro/trafficmodel/waterfill.py",
+        class_module="repro/trafficmodel/compiled.py",
         class_name="TrafficModelConfig",
     ),
     FrozenKeySpec(

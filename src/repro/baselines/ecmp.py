@@ -16,10 +16,9 @@ from repro.baselines.common import BaselineResult
 from repro.core.state import AllocationState
 from repro.exceptions import NoPathError
 from repro.paths.generator import PathGenerator
-from repro.paths.policy import PathPolicy
 from repro.topology.graph import Network, Path
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.trafficmodel.waterfill import TrafficModel
 
 #: Paths whose delay is within this relative tolerance of the minimum count as equal cost.
 EQUAL_COST_TOLERANCE = 1e-6
@@ -45,19 +44,17 @@ def equal_cost_paths(
 def ecmp_routing(
     network: Network,
     traffic_matrix: TrafficMatrix,
-    policy: Optional[PathPolicy] = None,
-    model_config: Optional[TrafficModelConfig] = None,
     max_paths: int = 8,
     generator: Optional[PathGenerator] = None,
     model: Optional[TrafficModel] = None,
 ) -> BaselineResult:
     """Split every aggregate evenly across its equal-cost lowest-delay paths.
 
-    ``generator`` / ``model`` let callers pass warm instances (see
-    :mod:`repro.runner.worker`); both default to fresh builds as before.
+    ``generator`` / ``model`` default to fresh builds, as in
+    :func:`~repro.baselines.shortest_path.shortest_path_routing`.
     """
     traffic_matrix.require_routable_on(network)
-    generator = generator or PathGenerator(network, policy)
+    generator = generator or PathGenerator(network)
 
     allocations: Dict = {}
     for aggregate in traffic_matrix:
@@ -81,6 +78,6 @@ def ecmp_routing(
         allocations[aggregate.key] = allocation
 
     state = AllocationState(network, traffic_matrix, allocations)
-    model = model or TrafficModel(network, model_config)
+    model = model or TrafficModel(network)
     result = model.evaluate(state.bundles())
     return BaselineResult(name="ecmp", state=state, model_result=result)

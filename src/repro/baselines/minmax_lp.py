@@ -27,10 +27,9 @@ from repro.baselines.common import BaselineResult
 from repro.core.state import AllocationState
 from repro.exceptions import NoPathError, OptimizationError
 from repro.paths.generator import PathGenerator
-from repro.paths.policy import PathPolicy
 from repro.topology.graph import Network, Path
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.trafficmodel.waterfill import TrafficModel
 
 
 def _candidate_paths(
@@ -142,19 +141,17 @@ def _fractions_to_flows(num_flows: int, fractions: List[float]) -> List[int]:
 def minmax_lp_routing(
     network: Network,
     traffic_matrix: TrafficMatrix,
-    policy: Optional[PathPolicy] = None,
-    model_config: Optional[TrafficModelConfig] = None,
     paths_per_aggregate: int = 4,
     generator: Optional[PathGenerator] = None,
     model: Optional[TrafficModel] = None,
 ) -> BaselineResult:
     """Classic min-max-utilization TE: solve the LP, round to flows, evaluate.
 
-    ``generator`` / ``model`` let callers pass warm instances (see
-    :mod:`repro.runner.worker`); both default to fresh builds as before.
+    ``generator`` / ``model`` default to fresh builds, as in
+    :func:`~repro.baselines.shortest_path.shortest_path_routing`.
     """
     traffic_matrix.require_routable_on(network)
-    generator = generator or PathGenerator(network, policy)
+    generator = generator or PathGenerator(network)
     candidates = _candidate_paths(network, generator, traffic_matrix, paths_per_aggregate)
     fractions = solve_minmax_fractions(network, traffic_matrix, candidates)
 
@@ -170,6 +167,6 @@ def minmax_lp_routing(
         allocations[aggregate.key] = allocation
 
     state = AllocationState(network, traffic_matrix, allocations)
-    model = model or TrafficModel(network, model_config)
+    model = model or TrafficModel(network)
     result = model.evaluate(state.bundles())
     return BaselineResult(name="minmax-lp", state=state, model_result=result)

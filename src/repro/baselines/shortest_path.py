@@ -13,28 +13,27 @@ from typing import Optional
 from repro.baselines.common import BaselineResult
 from repro.core.state import AllocationState
 from repro.paths.generator import PathGenerator
-from repro.paths.policy import PathPolicy
 from repro.topology.graph import Network
 from repro.traffic.matrix import TrafficMatrix
-from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.trafficmodel.waterfill import TrafficModel
 
 
 def shortest_path_routing(
     network: Network,
     traffic_matrix: TrafficMatrix,
-    policy: Optional[PathPolicy] = None,
-    model_config: Optional[TrafficModelConfig] = None,
     generator: Optional[PathGenerator] = None,
     model: Optional[TrafficModel] = None,
 ) -> BaselineResult:
     """Route every aggregate over its lowest-delay path and evaluate the result.
 
-    ``generator`` / ``model`` let callers (the sweep runner's worker caches)
-    pass warm instances; both default to fresh builds as before.
+    ``generator`` / ``model`` default to fresh builds with the default path
+    policy and model config; callers pass their own for another policy or
+    config (``PathGenerator(network, policy)``, ``TrafficModel(network,
+    config)``) or for warm instances (the sweep runner's worker caches).
     """
     traffic_matrix.require_routable_on(network)
-    generator = generator or PathGenerator(network, policy)
+    generator = generator or PathGenerator(network)
     state = AllocationState.initial(network, traffic_matrix, generator)
-    model = model or TrafficModel(network, model_config)
+    model = model or TrafficModel(network)
     result = model.evaluate(state.bundles())
     return BaselineResult(name="shortest-path", state=state, model_result=result)

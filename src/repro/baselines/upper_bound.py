@@ -17,12 +17,11 @@ from typing import List, Optional
 from repro.core.state import AllocationState
 from repro.exceptions import NoPathError
 from repro.paths.generator import PathGenerator
-from repro.paths.policy import PathPolicy
 from repro.topology.graph import Network
 from repro.traffic.aggregate import Aggregate
 from repro.traffic.matrix import TrafficMatrix
 from repro.trafficmodel.bundle import Bundle
-from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.trafficmodel.waterfill import TrafficModel
 from repro.utility.aggregation import (
     AggregateUtility,
     PriorityWeights,
@@ -82,8 +81,6 @@ def isolated_aggregate_utility(
 def upper_bound_utility(
     network: Network,
     traffic_matrix: TrafficMatrix,
-    policy: Optional[PathPolicy] = None,
-    model_config: Optional[TrafficModelConfig] = None,
     weights: Optional[PriorityWeights] = None,
     max_split_paths: int = 3,
     generator: Optional[PathGenerator] = None,
@@ -91,41 +88,36 @@ def upper_bound_utility(
 ) -> float:
     """The paper's upper-bound reference: mean isolated utility over aggregates.
 
-    The mean is flow-weighted so it is directly comparable with the "total
-    average" utility FUBAR reports.  ``generator`` / ``model`` let callers
-    pass warm instances (see :mod:`repro.runner.worker`); both default to
-    fresh builds as before.
+    The mean of :func:`per_aggregate_upper_bounds` is flow-weighted, so it is
+    directly comparable with the "total average" utility FUBAR reports.
     """
-    traffic_matrix.require_routable_on(network)
-    generator = generator or PathGenerator(network, policy)
-    model = model or TrafficModel(network, model_config)
-    utilities: List[AggregateUtility] = []
-    for aggregate in traffic_matrix:
-        value = isolated_aggregate_utility(
-            network, aggregate, generator, model, max_split_paths=max_split_paths
-        )
-        utilities.append(
-            AggregateUtility(
-                aggregate_key=aggregate.key,
-                utility=min(value, 1.0),
-                num_flows=aggregate.num_flows,
-                traffic_class=aggregate.traffic_class,
-            )
-        )
-    return network_utility(utilities, weights)
+    return network_utility(
+        per_aggregate_upper_bounds(
+            network,
+            traffic_matrix,
+            max_split_paths=max_split_paths,
+            generator=generator,
+            model=model,
+        ),
+        weights,
+    )
 
 
 def per_aggregate_upper_bounds(
     network: Network,
     traffic_matrix: TrafficMatrix,
-    policy: Optional[PathPolicy] = None,
-    model_config: Optional[TrafficModelConfig] = None,
     max_split_paths: int = 3,
+    generator: Optional[PathGenerator] = None,
+    model: Optional[TrafficModel] = None,
 ) -> List[AggregateUtility]:
-    """Isolated utility of every aggregate (used by tests and detailed reports)."""
+    """Isolated utility of every aggregate, clamped to 1.
+
+    ``generator`` / ``model`` default to fresh builds, as in
+    :func:`~repro.baselines.shortest_path.shortest_path_routing`.
+    """
     traffic_matrix.require_routable_on(network)
-    generator = PathGenerator(network, policy)
-    model = TrafficModel(network, model_config)
+    generator = generator or PathGenerator(network)
+    model = model or TrafficModel(network)
     return [
         AggregateUtility(
             aggregate_key=aggregate.key,

@@ -50,10 +50,9 @@ class FubarConfig:
     priority_weights:
         Per-class weights used in the optimization objective (Figure 5
         prioritizes large flows by increasing their weight).
-    record_every_step:
-        When True the recorder captures a trace point after every committed
-        move (needed to redraw Figures 3–5); when False only at the start and
-        end, which is slightly faster for large runs.
+
+    The recorder captures a trace point after every committed move (Figures
+    3–5 are redrawn from them).
     """
 
     move_fraction: float = 0.25
@@ -64,7 +63,6 @@ class FubarConfig:
     max_steps: Optional[int] = None
     max_wall_clock_s: Optional[float] = None
     priority_weights: PriorityWeights = field(default_factory=PriorityWeights.uniform)
-    record_every_step: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.move_fraction <= 1.0:

@@ -22,14 +22,13 @@ from repro.core.config import FubarConfig
 from repro.core.recorder import OptimizationRecorder, TracePoint
 from repro.core.state import AllocationState, build_path_sets
 from repro.core.step import perform_step
-from repro.exceptions import OptimizationError
 from repro.paths.generator import PathGenerator
 from repro.paths.pathset import PathSet
 from repro.topology.graph import Network
 from repro.traffic.aggregate import AggregateKey
 from repro.traffic.matrix import TrafficMatrix
 from repro.trafficmodel.result import TrafficModelResult
-from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig
+from repro.trafficmodel.waterfill import TrafficModel
 
 #: Termination reasons reported in :class:`FubarResult`.
 TERMINATED_NO_CONGESTION = "no congestion remains"
@@ -106,7 +105,13 @@ class FubarResult:
 
 
 class FubarOptimizer:
-    """Runs the FUBAR flow-allocation algorithm on one network + traffic matrix."""
+    """Runs the FUBAR flow-allocation algorithm on one network + traffic matrix.
+
+    ``path_generator`` and ``traffic_model`` default to fresh builds with the
+    default path policy and model config.  A caller that wants another
+    policy or config, or warm instances, passes the tools themselves:
+    ``PathGenerator(network, policy)`` or ``TrafficModel(network, config)``.
+    """
 
     def __init__(
         self,
@@ -115,18 +120,13 @@ class FubarOptimizer:
         config: Optional[FubarConfig] = None,
         path_generator: Optional[PathGenerator] = None,
         traffic_model: Optional[TrafficModel] = None,
-        model_config: Optional[TrafficModelConfig] = None,
     ) -> None:
         traffic_matrix.require_routable_on(network)
         self.network = network
         self.traffic_matrix = traffic_matrix
         self.config = config or FubarConfig()
         self.path_generator = path_generator or PathGenerator(network)
-        if traffic_model is not None and model_config is not None:
-            raise OptimizationError(
-                "pass either traffic_model or model_config, not both"
-            )
-        self.model = traffic_model or TrafficModel(network, model_config)
+        self.model = traffic_model or TrafficModel(network)
 
     # ------------------------------------------------------------------- run
 
@@ -201,8 +201,7 @@ class FubarOptimizer:
                     result = step_result.result
                     step_count += 1
                     progress = True
-                    if config.record_every_step:
-                        recorder.record(step_count, result, step_result.describe())
+                    recorder.record(step_count, result, step_result.describe())
                     break
 
             if progress:

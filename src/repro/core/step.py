@@ -173,7 +173,7 @@ def _best_move(
         return None
     best_score = utility_now + config.min_utility_improvement
     best: Optional[Move] = None
-    scorer = BatchedCandidateScorer(model.engine, base, config.priority_weights)
+    scorer = BatchedCandidateScorer(model, base, config.priority_weights)
     for move, score in zip(moves, scorer.score(moves)):
         if score > best_score:
             best_score = score

@@ -230,7 +230,6 @@ def greedy_link_upgrades(
 
         # Cheap probes: score every candidate by re-solving the incumbent's
         # compiled allocation with a patched capacity vector.
-        engine = model.engine
         compiled = model_result.compiled
         assert compiled is not None
         base_capacities = np.asarray(current_network.capacities(), dtype=float)
@@ -245,9 +244,9 @@ def greedy_link_upgrades(
                 index = current_network.link_by_id(direction).index
                 added += capacities[index] * (upgrade_factor - 1.0)
                 capacities[index] *= upgrade_factor
-            solution = engine.solve(compiled, capacities=capacities)
+            solution = model.solve(compiled, capacities=capacities)
             round_evaluations += 1
-            probe_utility = engine.weighted_utility(
+            probe_utility = model.weighted_utility(
                 compiled, solution.rates, config.priority_weights
             )
             gain_per_bps = (probe_utility - utility_now) / added

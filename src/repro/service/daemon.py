@@ -26,10 +26,9 @@ tenant's inbox, so core transitions never race):
 4. a :class:`~repro.service.events.DecisionTelemetry` is emitted to every
    subscribed listener with the full per-epoch accounting.
 
-The default executor is a single thread: optimizer cycles of different
-tenants then serialize against each other (keeping the shared caches race
-free) while the event loop stays responsive throughout.  Pass a wider
-executor only with per-tenant caches disabled.
+The executor is a single thread: optimizer cycles of different tenants
+serialize against each other, which keeps the shared caches race free,
+while the event loop stays responsive throughout.
 """
 
 from __future__ import annotations
@@ -159,27 +158,15 @@ class ControllerDaemon:
         ``None`` explicitly via ``share_caches=False`` semantics is not
         supported — sharing is the point of the daemon; isolated tenants
         can simply run in separate daemons.
-    executor_threads:
-        Width of the optimizer executor.  The default (1) serializes
-        optimizer cycles across tenants, which keeps the shared caches free
-        of data races; the event loop stays responsive either way.
     """
 
-    def __init__(
-        self,
-        caches: Optional[WorkerCaches] = None,
-        *,
-        executor_threads: int = 1,
-    ) -> None:
-        if executor_threads < 1:
-            raise ServiceError(
-                f"executor_threads must be >= 1, got {executor_threads!r}"
-            )
+    def __init__(self, caches: Optional[WorkerCaches] = None) -> None:
         self.caches = caches or WorkerCaches()
         self._tenants: Dict[str, _Tenant] = {}
         self._listeners: List[TelemetryListener] = []
+        # One thread: optimizer cycles must not race on the shared caches.
         self._executor = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="fubar-optimizer"
+            max_workers=1, thread_name_prefix="fubar-optimizer"
         )
         self._draining = False
 

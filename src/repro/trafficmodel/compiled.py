@@ -19,13 +19,11 @@ bundle.  This module removes both costs:
   all demand-satisfaction events inside the interval are resolved at once and
   the loop runs one round per saturated link (a handful) instead of one event
   per bundle (hundreds);
-* :meth:`CompiledTrafficModel.solve_batched` stacks many independent compiled
-  bundle lists into one block-diagonal system (block *k* owns stacked links
-  ``k*L .. (k+1)*L-1``) and runs the waterfall over all of them in lockstep
-  rounds.  Each block is read through its *solver layout* — its stable
+* the solve reads a compiled list through its *solver layout* — its stable
   satisfy-time order, link CSR and per-link growth sums, built once per
-  compiled list.  ``solve`` is the one-block case of the same code path, so
-  a batched solve is *bitwise* identical to solving each block alone;
+  compiled list — as a one-block :class:`_Waterfall` system.  The event
+  loop itself is written for many blocks in lockstep rounds (block *k* owns
+  stacked links ``k*L .. (k+1)*L-1``), which only the scorer's chunks use;
 * :class:`BatchedCandidateScorer` scores every candidate move of an
   optimization step (:data:`Move`: flows of one aggregate moved from one
   path to another) in the *base's* index space.  It resolves each move
@@ -57,6 +55,7 @@ evaluation bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,12 +65,16 @@ from repro.topology.graph import Network, Path
 from repro.traffic.aggregate import Aggregate, AggregateKey
 from repro.trafficmodel.bundle import Bundle, check_bundle_path
 from repro.trafficmodel.result import BundleOutcome, TrafficModelResult
-from repro.trafficmodel.waterfill import (
-    _ABS_EPS,
-    _REL_EPS,
-    TrafficModelConfig,
-)
 from repro.utility.aggregation import AggregateUtility, PriorityWeights
+
+#: RTT floor, seconds.  Keeps growth rates finite on zero-delay test topologies.
+MIN_RTT_S = 1e-4
+
+#: Relative tolerance for "demand met" and "link saturated" decisions.
+_REL_EPS = 1e-9
+
+#: Absolute slack (bps) below which remaining link capacity counts as exhausted.
+_ABS_EPS = 1e-6
 
 #: Relative margin of the solver's bounded saturation sweep: each link's
 #: load bound starts from its total growth inflated by it and is compared
@@ -88,6 +91,31 @@ BundlePatch = Mapping[Tuple[AggregateKey, Path], Optional[Bundle]]
 #: A candidate move (paper Listing 2): flows of one aggregate moved from one
 #: path to another, as (aggregate key, from path, to path, flows moved).
 Move = Tuple[AggregateKey, Path, Path, int]
+
+
+@dataclass(frozen=True)
+class TrafficModelConfig:
+    """Tuning knobs of the progressive-filling model.
+
+    Parameters
+    ----------
+    min_rtt_s:
+        Lower bound applied to every bundle's RTT before computing its growth
+        rate, so zero-delay topologies (used in tests) stay well-defined.
+    rtt_fairness:
+        When True (the default, per the paper) a bundle's growth rate is
+        proportional to ``num_flows / RTT`` — TCP-like RTT bias.  When False
+        every flow grows at the same rate regardless of RTT (pure per-flow
+        max-min fairness).  No benchmark sets it to False; the tests do, to
+        hold the engine and the scorer to their oracles under equal growth.
+    """
+
+    min_rtt_s: float = MIN_RTT_S
+    rtt_fairness: bool = True
+
+    def __post_init__(self) -> None:
+        if self.min_rtt_s <= 0.0:
+            raise TrafficModelError(f"min_rtt_s must be positive, got {self.min_rtt_s!r}")
 
 
 class _BundleRow:
@@ -338,7 +366,7 @@ def _segment_prefix_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     reduced through its own left-to-right cumsum — never through differences
     of a running sum shared with its neighbours — so a segment's prefixes
     are bitwise identical no matter which other segments share the call.
-    That invariance is what lets the batched solver group per-link
+    That invariance is what lets the scorer's chunks group per-link
     reductions freely across blocks while staying bitwise equal to a
     standalone one-block solve.
 
@@ -616,49 +644,23 @@ class _Waterfall:
         self.now = np.zeros(num_blocks, dtype=float)
 
     @classmethod
-    def of_layouts(
-        cls, layouts: Sequence[_SolverLayout], capacities: np.ndarray
-    ) -> "_Waterfall":
-        """The block-diagonal system of whole bundle lists, one per layout."""
-
-        def concat(arrays: List[np.ndarray]) -> np.ndarray:
-            return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-        def bases(sizes: List[int]) -> np.ndarray:
-            offsets = np.zeros(len(sizes), dtype=np.intp)
-            np.cumsum(sizes[:-1], out=offsets[1:])
-            return offsets
-
-        slot_base = bases([len(layout) for layout in layouts])
-        row_base = bases([layout.row_links.shape[0] for layout in layouts])
-        pool_base = bases([layout.csr_slots.shape[0] for layout in layouts])
-        satisfy = concat([layout.satisfy for layout in layouts])
+    def of_layout(cls, layout: _SolverLayout, capacities: np.ndarray) -> "_Waterfall":
+        """The one-block system of a whole bundle list, read through its layout."""
         return cls(
             capacities,
-            slot_base,
-            satisfy,
-            concat([layout.growth for layout in layouts]),
-            concat([layout.demands for layout in layouts]),
-            np.ones(satisfy.shape[0], dtype=bool),
+            np.zeros(1, dtype=np.intp),
+            layout.satisfy,
+            layout.growth,
+            layout.demands,
+            np.ones(len(layout), dtype=bool),
+            (layout.row_start, layout.row_count, layout.row_links),
             (
-                np.concatenate(
-                    [layout.row_start + base for layout, base in zip(layouts, row_base)]
-                ),
-                concat([layout.row_count for layout in layouts]),
-                concat([layout.row_links for layout in layouts]),
+                layout.csr_offsets[:-1],
+                layout.csr_counts,
+                layout.csr_slots,
+                layout.csr_values,
             ),
-            (
-                np.concatenate(
-                    [
-                        layout.csr_offsets[:-1] + base
-                        for layout, base in zip(layouts, pool_base)
-                    ]
-                ),
-                concat([layout.csr_counts for layout in layouts]),
-                concat([layout.csr_slots for layout in layouts]),
-                concat([layout.csr_values for layout in layouts]),
-            ),
-            concat([layout.link_growth for layout in layouts]),
+            layout.link_growth,
         )
 
     def _entry_slots(
@@ -885,8 +887,8 @@ class _Waterfall:
             # saturate either way.  np.add.reduceat reduces each summed
             # link's segment from its own contiguous entries alone, so the
             # sums are bitwise those of a standalone solve (locked in by the
-            # batched-vs-single equivalence suite).  ``newly_flags`` is a
-            # flat view, so marking a link there marks it in newly_matrix.
+            # scorer's chunking and moved-state suites).  ``newly_flags`` is
+            # a flat view, so marking a link there marks it in newly_matrix.
             reach = fixed_matrix + growing_matrix * np.where(
                 process, cand_tau, 0.0
             )[:, None]
@@ -1092,8 +1094,7 @@ class CompiledTrafficModel:
         self._capacities = np.asarray(network.capacities(), dtype=float)
         self._num_links = network.num_links
         self._rows: Dict[Tuple[AggregateKey, Path], _BundleRow] = {}
-        #: Number of solved blocks and scored candidates; mirrors the historical
-        #: ``TrafficModel.evaluations`` counter.
+        #: Number of solved blocks and scored candidates.
         self.evaluations = 0
 
     # ------------------------------------------------------------------ rows
@@ -1230,9 +1231,7 @@ class CompiledTrafficModel:
         growth arrays are all capacity-independent, so a what-if capacity
         only has to swap this vector, never recompile.
 
-        Implemented as the one-block case of :meth:`solve_batched`, so a
-        standalone solve and a batched solve containing the same arrays are
-        bitwise identical.
+        Runs as a one-block :meth:`solve_batched` call.
         """
         return self.solve_batched([compiled], capacities=capacities)[0]
 
@@ -1241,36 +1240,30 @@ class CompiledTrafficModel:
         blocks: Sequence[CompiledBundles],
         capacities: Optional[np.ndarray] = None,
     ) -> List[_Solution]:
-        """Solve many independent compiled bundle lists in one stacked pass.
+        """Solve compiled bundle lists one after another; counts
+        ``len(blocks)`` evaluations.
 
-        Block *k* owns the stacked link range ``k*L .. (k+1)*L-1`` of a
-        block-diagonal system read through each block's solver layout
-        (:attr:`CompiledBundles.layout`), and :class:`_Waterfall` runs the
-        event loop over all blocks in lockstep rounds.  Bitwise equivalence
-        with per-block ``solve`` calls holds because every floating-point
-        reduction of the loop is exactly segment-local or per-block in rank
-        order (tests/test_batched_scorer.py); the candidate scorer's chunks
-        run the same loop.
-
-        Counts ``len(blocks)`` evaluations.  ``capacities`` overrides the
-        engine's per-link capacity vector for every block of this batch.
+        Each block runs as a one-block :class:`_Waterfall` over its solver
+        layout (:attr:`CompiledBundles.layout`), and ``capacities``
+        overrides the engine's per-link capacity vector for every block.
+        Every solve runs through this method only because
+        ``perfbench/tracing.py`` wraps it by name as its ``trafficmodel.solve``
+        span, until the in-tree span recorder of ROADMAP.md item 10 replaces
+        that patch table.
         """
-        num_blocks = len(blocks)
-        self.evaluations += num_blocks
+        self.evaluations += len(blocks)
         capacities = self._capacity_vector(capacities)
-        if num_blocks == 0:
-            return []
-        layouts = [block.layout for block in blocks]
-        system = _Waterfall.of_layouts(layouts, capacities)
-        system.refresh(np.arange(num_blocks * capacities.shape[0], dtype=np.intp))
-        rates, bottleneck = system.run(with_bottleneck=True)
-        assert bottleneck is not None
+        all_links = np.arange(capacities.shape[0], dtype=np.intp)
         solutions = []
-        slot_base = 0
-        for layout in layouts:
-            slots = layout.inverse + slot_base
-            solutions.append(_Solution(rates[slots], bottleneck[slots]))
-            slot_base += len(layout)
+        for block in blocks:
+            layout = block.layout
+            system = _Waterfall.of_layout(layout, capacities)
+            system.refresh(all_links)
+            rates, bottleneck = system.run(with_bottleneck=True)
+            assert bottleneck is not None
+            solutions.append(
+                _Solution(rates[layout.inverse], bottleneck[layout.inverse])
+            )
         return solutions
 
     def _capacity_vector(self, capacities: Optional[np.ndarray]) -> np.ndarray:
@@ -1444,7 +1437,7 @@ class _SubNetwork:
         self.capacities = capacities[links]
         # Each kept link's initial crossing time: segment-local, so bitwise
         # what a pass over the whole base layout gives.
-        system = _Waterfall.of_layouts([self.layout], self.capacities)
+        system = _Waterfall.of_layout(self.layout, self.capacities)
         system.refresh(np.arange(links.shape[0], dtype=np.intp))
         self.tau = system.tau
 
@@ -1919,7 +1912,7 @@ class CompiledModelCache:
     historically built a fresh engine and recompiled every (aggregate, path)
     row from the network graph.  Keying engines by
     :func:`~repro.paths.cache.topology_signature` plus the (hashable, frozen)
-    :class:`~repro.trafficmodel.waterfill.TrafficModelConfig` lets consecutive
+    :class:`TrafficModelConfig` lets consecutive
     cells reuse warm row caches.  Sharing is correctness-safe: ``_row_for``
     validates every cached row against the requesting bundle's utility
     function, so a cell whose traffic matrix assigns different utilities to

@@ -19,18 +19,16 @@ Two implementations live side by side:
   utilities one outcome at a time (:func:`reference_aggregate_utilities`),
   and is kept as the ground truth the fast engine is tested against.
 * :class:`~repro.trafficmodel.compiled.CompiledTrafficModel` — the
-  compiled/incremental engine the optimizer actually runs.  It caches
-  per-(aggregate, path) rows, rebuilds only the rows a candidate move changes,
-  and collapses demand-satisfaction events into closed form so the solve
-  loop runs one round per saturated link.  :class:`TrafficModel` below is a
-  thin wrapper around it, preserving the historical API — important because
-  the optimizer evaluates the model for every candidate move.
+  compiled/incremental engine every caller runs, also named
+  :data:`TrafficModel` here.  It caches per-(aggregate, path) rows, scores
+  candidate moves in the index space of the state they move from, and
+  collapses demand-satisfaction events into closed form so the solve loop
+  runs one round per saturated link.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,44 +36,29 @@ from repro.exceptions import TrafficModelError
 from repro.topology.graph import Network
 from repro.traffic.aggregate import AggregateKey
 from repro.trafficmodel.bundle import Bundle
+from repro.trafficmodel.compiled import (
+    _ABS_EPS,
+    _REL_EPS,
+    MIN_RTT_S,
+    CompiledModelCache,
+    CompiledTrafficModel,
+    TrafficModelConfig,
+)
 from repro.trafficmodel.result import BundleOutcome, TrafficModelResult
 from repro.utility.aggregation import AggregateUtility
 
-if TYPE_CHECKING:
-    from repro.trafficmodel.compiled import CompiledModelCache, CompiledTrafficModel
+__all__ = [
+    "MIN_RTT_S",
+    "TrafficModel",
+    "TrafficModelConfig",
+    "evaluate_bundles",
+    "reference_aggregate_utilities",
+    "reference_evaluate",
+    "traffic_model_for",
+]
 
-#: RTT floor, seconds.  Keeps growth rates finite on zero-delay test topologies.
-MIN_RTT_S = 1e-4
-
-#: Relative tolerance for "demand met" and "link saturated" decisions.
-_REL_EPS = 1e-9
-
-#: Absolute slack (bps) below which remaining link capacity counts as exhausted.
-_ABS_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class TrafficModelConfig:
-    """Tuning knobs of the progressive-filling model.
-
-    Parameters
-    ----------
-    min_rtt_s:
-        Lower bound applied to every bundle's RTT before computing its growth
-        rate, so zero-delay topologies (used in tests) stay well-defined.
-    rtt_fairness:
-        When True (the default, per the paper) a bundle's growth rate is
-        proportional to ``num_flows / RTT`` — TCP-like RTT bias.  When False
-        every flow grows at the same rate regardless of RTT (pure per-flow
-        max-min fairness); the ablation benchmarks compare the two.
-    """
-
-    min_rtt_s: float = MIN_RTT_S
-    rtt_fairness: bool = True
-
-    def __post_init__(self) -> None:
-        if self.min_rtt_s <= 0.0:
-            raise TrafficModelError(f"min_rtt_s must be positive, got {self.min_rtt_s!r}")
+#: Second name of the engine class: perfbench/tracing.py's patch table names both.
+TrafficModel = CompiledTrafficModel
 
 
 def reference_evaluate(
@@ -221,58 +204,16 @@ def reference_aggregate_utilities(
     return utilities
 
 
-class TrafficModel:
-    """Evaluates how a set of bundles shares a network (paper §2.3).
-
-    Historically this class owned the event loop; it is now a thin wrapper
-    around the compiled engine (:mod:`repro.trafficmodel.compiled`), which
-    caches per-(aggregate, path) rows across evaluations.  The ``engine``
-    attribute exposes the underlying :class:`CompiledTrafficModel` for
-    callers (the optimizer step) that want the incremental API.
-    """
-
-    def __init__(self, network: Network, config: Optional[TrafficModelConfig] = None) -> None:
-        from repro.trafficmodel.compiled import CompiledTrafficModel
-
-        self.network = network
-        self.config = config or TrafficModelConfig()
-        self.engine = CompiledTrafficModel(network, self.config)
-
-    @classmethod
-    def from_engine(cls, engine: "CompiledTrafficModel") -> "TrafficModel":
-        """Wrap an existing :class:`CompiledTrafficModel` without rebuilding it.
-
-        Used by the sweep runner's worker caches: a cached engine carries its
-        warm per-(aggregate, path) row cache and its evaluation counter, both
-        of which the wrapper shares (callers that count evaluations snapshot
-        the counter at run start, so sharing is bookkeeping-safe).
-        """
-        model = cls.__new__(cls)
-        model.network = engine.network
-        model.config = engine.config
-        model.engine = engine
-        return model
-
-    @property
-    def evaluations(self) -> int:
-        """Number of model evaluations performed (solves and scored candidates)."""
-        return self.engine.evaluations
-
-    def evaluate(self, bundles: Sequence[Bundle]) -> TrafficModelResult:
-        """Run the progressive-filling model and return its result."""
-        return self.engine.evaluate(bundles)
-
-
 def traffic_model_for(
     network: Network,
     config: Optional[TrafficModelConfig] = None,
-    cache: Optional["CompiledModelCache"] = None,
+    cache: Optional[CompiledModelCache] = None,
 ) -> TrafficModel:
-    """A traffic model for *network*: wrapping *cache*'s warm engine when a
-    cache is given, built fresh otherwise."""
+    """A traffic model for *network*: *cache*'s warm engine when a cache is
+    given, built fresh otherwise."""
     if cache is None:
         return TrafficModel(network, config)
-    return TrafficModel.from_engine(cache.engine_for(network, config))
+    return cache.engine_for(network, config)
 
 
 def evaluate_bundles(

@@ -125,6 +125,13 @@ def make_aggregate(
     )
 
 
+def crossed_links(state):
+    """Every directed link some bundle of *state* crosses (test helper)."""
+    return {
+        link for bundle in state.bundles() for link in zip(bundle.path, bundle.path[1:])
+    }
+
+
 @pytest.fixture
 def make_aggregate_factory():
     """Expose :func:`make_aggregate` as a fixture for tests that need many aggregates."""

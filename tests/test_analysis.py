@@ -284,7 +284,7 @@ def _real_modules(extra_mutation=None):
         "src/repro/paths/cache.py",
         "src/repro/topology/graph.py",
         "src/repro/runner/spec.py",
-        "src/repro/trafficmodel/waterfill.py",
+        "src/repro/trafficmodel/compiled.py",
         "src/repro/paths/policy.py",
     ]
     modules = []
@@ -336,7 +336,7 @@ def test_sig001_catches_new_link_field_missing_from_signature():
 
 def test_sig001_catches_unfrozen_traffic_model_config():
     def unfreeze(relative, source):
-        if relative.endswith("trafficmodel/waterfill.py"):
+        if relative.endswith("trafficmodel/compiled.py"):
             return source.replace(
                 "@dataclass(frozen=True)\nclass TrafficModelConfig",
                 "@dataclass\nclass TrafficModelConfig",

@@ -12,12 +12,16 @@ from repro.baselines.upper_bound import (
 )
 from repro.core.optimizer import optimize
 from repro.paths.generator import PathGenerator
+from repro.paths.policy import PathPolicy
 from repro.topology.builders import ring_topology, triangle_topology
 from repro.topology.hurricane_electric import reduced_core
 from repro.traffic.generators import paper_traffic_matrix
 from repro.traffic.matrix import TrafficMatrix
-from repro.units import kbps, mbps
-from tests.conftest import make_aggregate
+from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig, reference_evaluate
+from repro.units import kbps, mbps, ms
+from repro.utility.aggregation import network_utility
+from tests.conftest import crossed_links, make_aggregate
+from tests.test_trafficmodel_compiled import assert_results_close
 
 
 @pytest.fixture
@@ -25,6 +29,18 @@ def small_scenario():
     network = reduced_core(6, capacity_bps=mbps(40))
     matrix = paper_traffic_matrix(network, seed=2)
     return network, matrix
+
+
+@pytest.fixture
+def congested_core():
+    """The HE core at 5 Mbps: every baseline leaves congested links, so
+    growth rates (and with them the model config) shape the result."""
+    network = reduced_core(6, capacity_bps=mbps(5))
+    matrix = paper_traffic_matrix(network, seed=2)
+    return network, matrix
+
+
+ROUTING_BASELINES = [shortest_path_routing, ecmp_routing, minmax_lp_routing]
 
 
 class TestShortestPathBaseline:
@@ -166,3 +182,54 @@ class TestMinMaxLp:
         lp = minmax_lp_routing(network, matrix)
         fubar = optimize(network, matrix)
         assert fubar.network_utility >= lp.network_utility - 1e-6
+
+
+class TestToolsCarryPolicyAndModelConfig:
+    """A baseline takes a path policy inside ``generator=`` and a model
+    config inside ``model=``: the tools, not the options to build them."""
+
+    @pytest.mark.parametrize("baseline", ROUTING_BASELINES)
+    def test_policy_reaches_the_routing_through_the_generator(
+        self, congested_core, baseline
+    ):
+        network, matrix = congested_core
+        link = ("SanJose", "LosAngeles")
+        assert link in crossed_links(baseline(network, matrix).state)
+        avoiding = PathGenerator(network, PathPolicy.avoiding_links([link]))
+        routed = baseline(network, matrix, generator=avoiding)
+        assert link not in crossed_links(routed.state)
+
+    @pytest.mark.parametrize("baseline", ROUTING_BASELINES)
+    def test_model_config_reaches_the_routing_through_the_model(
+        self, congested_core, baseline
+    ):
+        network, matrix = congested_core
+        config = TrafficModelConfig(rtt_fairness=False)
+        result = baseline(network, matrix, model=TrafficModel(network, config))
+        bundles = result.state.bundles()
+        assert_results_close(reference_evaluate(network, bundles, config), result.model_result)
+        assert result.network_utility != pytest.approx(
+            reference_evaluate(network, bundles).network_utility()
+        )
+
+    def test_upper_bound_takes_the_policy_through_the_generator(self):
+        """Forbidding the direct link leaves the delay-sensitive aggregate
+        the long way round, alone: the bound is its utility there."""
+        network = triangle_topology()
+        matrix = TrafficMatrix([make_aggregate("A", "B", delay_cutoff_s=ms(50))])
+        avoiding = PathGenerator(network, PathPolicy.avoiding_links([("A", "B")]))
+        bound = upper_bound_utility(network, matrix, generator=avoiding)
+        assert upper_bound_utility(network, matrix) == pytest.approx(1.0)
+        assert bound < 0.9
+        detour = shortest_path_routing(network, matrix, generator=avoiding)
+        assert bound == pytest.approx(detour.network_utility)
+
+    def test_upper_bound_evaluates_with_the_model_given(self, congested_core):
+        network, matrix = congested_core
+        model = TrafficModel(network, TrafficModelConfig(rtt_fairness=False))
+        before = model.evaluations
+        bounds = per_aggregate_upper_bounds(network, matrix, model=model)
+        assert model.evaluations - before >= matrix.num_aggregates
+        assert upper_bound_utility(network, matrix, model=model) == network_utility(
+            bounds
+        )

@@ -10,12 +10,11 @@ evaluation of the moved state,
 with the scorer's move resolution or base-space layout.  The optimizer must
 select the move the oracle selects.  This suite locks that in three layers:
 
-1. Solves — rates and bottleneck attribution of a block solved alone equal
-   those of the same block inside any ``solve_batched`` batch, including
-   under capacity overrides; and the scorer's base-space solve of each
-   candidate (base slots and segments reused, links the move leaves alone
-   started from the base's crossing times) gives the per-bundle rates the
-   moved state's evaluation gives.
+1. Solves — the scorer's base-space solve of each candidate (base slots
+   and segments reused, links the move leaves alone started from the
+   base's crossing times) gives the per-bundle rates the moved state's
+   evaluation gives, however the candidates are chunked into stacked
+   blocks.
 2. Scores — ``BatchedCandidateScorer.score`` equals the oracle's scores
    exactly (drift 0, not within a tolerance) on HE-8, Abilene and tiered
    seeds, with and without RTT fairness (tied satisfy times), in every
@@ -58,7 +57,6 @@ from repro.trafficmodel.compiled import (
     SCORER_CHUNK_SLOTS,
     BatchedCandidateScorer,
     CompiledBundles,
-    CompiledTrafficModel,
     Move,
     _blocks_per_chunk,
     _chunk_bounds,
@@ -85,26 +83,7 @@ def scenario_by_name(name: str, tiered_size: str = "small"):
 SCENARIOS = ["he31", "abilene", "tiered-0", "tiered-1", "tiered-2"]
 
 
-def _assert_solutions_equal(single, batched, label):
-    assert np.array_equal(single.rates, batched.rates), label
-    assert np.array_equal(single.bottleneck, batched.bottleneck), label
-
-
-# ------------------------------------------------- solve vs solve_batched
-
-
-@pytest.mark.parametrize("name", SCENARIOS)
-def test_solve_equals_solve_batched(name):
-    """A block inside any batch solves bitwise as it does alone."""
-    scenario = scenario_by_name(name)
-    state = AllocationState.initial(scenario.network, scenario.traffic_matrix)
-    engine = TrafficModel(scenario.network).engine
-    compiled = engine.compile(state.bundles())
-
-    single = engine.solve(compiled)
-    for batch in ([compiled], [compiled] * 2, [compiled] * 7):
-        for solution in engine.solve_batched(batch):
-            _assert_solutions_equal(single, solution, name)
+# ------------------------------------------------------------ solver layout
 
 
 def _lexsort_entry_order(links, positions, num_cols):
@@ -136,26 +115,12 @@ def test_solver_layout_csr_equals_a_lexsort_layout(name, monkeypatch):
     layout built over the reference entry order holds."""
     scenario = scenario_by_name(name)
     state = AllocationState.initial(scenario.network, scenario.traffic_matrix)
-    compiled = TrafficModel(scenario.network).engine.compile(state.bundles())
+    compiled = TrafficModel(scenario.network).compile(state.bundles())
     layout = _SolverLayout(compiled)
     monkeypatch.setattr(compiled_module, "_csr_entry_order", _lexsort_entry_order)
     reference = _SolverLayout(compiled)
     for field in ("csr_offsets", "csr_counts", "csr_slots", "csr_values", "link_growth"):
         assert np.array_equal(getattr(layout, field), getattr(reference, field)), field
-
-
-@pytest.mark.parametrize("name", ["he31", "tiered-0"])
-def test_solve_batched_capacity_override(name):
-    scenario = scenario_by_name(name)
-    state = AllocationState.initial(scenario.network, scenario.traffic_matrix)
-    engine = TrafficModel(scenario.network).engine
-    compiled = engine.compile(state.bundles())
-    capacities = np.asarray(
-        [link.capacity_bps * 0.6 for link in scenario.network.links]
-    )
-    single = engine.solve(compiled, capacities=capacities)
-    for solution in engine.solve_batched([compiled] * 3, capacities=capacities):
-        _assert_solutions_equal(single, solution, name)
 
 
 def test_scorer_rates_equal_cold_solves(hot_step):
@@ -204,23 +169,23 @@ def test_scorer_rejects_moves_the_base_cannot_make(hot_step, case, message):
     """A move the base cannot make raises before a single evaluation is
     counted, even after a valid move in the same list.  A new to-path must
     be one a :class:`Bundle` accepts: the solver's CSR needs simple paths."""
-    engine, moves = hot_step.engine, hot_step.moves
+    model, moves = hot_step.model, hot_step.moves
     move = _not_a_move(case, hot_step)
-    scorer = BatchedCandidateScorer(engine, hot_step.base)
-    before = engine.evaluations
+    scorer = BatchedCandidateScorer(model, hot_step.base)
+    before = model.evaluations
     with pytest.raises(TrafficModelError, match=message):
         scorer.score([moves[0], move])
-    assert engine.evaluations == before
+    assert model.evaluations == before
 
 
 def test_scorer_counts_base_pass_and_candidates(hot_step):
-    engine, base, moves = hot_step.engine, hot_step.base, hot_step.moves
-    scorer = BatchedCandidateScorer(engine, base)
-    before = engine.evaluations
+    model, base, moves = hot_step.model, hot_step.base, hot_step.moves
+    scorer = BatchedCandidateScorer(model, base)
+    before = model.evaluations
     scorer.score(moves)
-    assert engine.evaluations == before + 1 + len(moves)
+    assert model.evaluations == before + 1 + len(moves)
     scorer.score(moves[:2])
-    assert engine.evaluations == before + 1 + len(moves) + 2
+    assert model.evaluations == before + 1 + len(moves) + 2
 
 
 def test_scoring_a_link_visit_constructs_no_bundle(hot_step, monkeypatch):
@@ -235,8 +200,8 @@ def test_scoring_a_link_visit_constructs_no_bundle(hot_step, monkeypatch):
         post_init(bundle)
 
     monkeypatch.setattr(Bundle, "__post_init__", counted)
-    config, engine = hot_step.scenario.fubar_config, hot_step.engine
-    before = engine.evaluations
+    config, model = hot_step.scenario.fubar_config, hot_step.model
+    before = model.evaluations
     _best_move(
         hot_step.link_id,
         hot_step.path_sets,
@@ -247,7 +212,7 @@ def test_scoring_a_link_visit_constructs_no_bundle(hot_step, monkeypatch):
         0,
         hot_step.result.network_utility(hot_step.weights),
     )
-    assert engine.evaluations == before + 1 + len(hot_step.moves)
+    assert model.evaluations == before + 1 + len(hot_step.moves)
     assert constructed == []
     hot_step.state.move_delta(*hot_step.moves[0])
     assert constructed, "the counter sees a construction"
@@ -268,10 +233,6 @@ class HotStep(NamedTuple):
     result: TrafficModelResult
     link_id: LinkId
     moves: List[Move]
-
-    @property
-    def engine(self) -> CompiledTrafficModel:
-        return self.model.engine
 
     @property
     def base(self) -> CompiledBundles:
@@ -334,9 +295,8 @@ def moved_state_scores(model, state, moves, weights):
 def _assert_rates_equal_moved_states(model, state, moves):
     """The scorer's per-column rates and flows of each move, in the base's
     columns plus one for a new to-path, equal the moved state's outcomes."""
-    engine = model.engine
-    base = engine.compile(state.bundles())
-    scorer = BatchedCandidateScorer(engine, base)
+    base = model.compile(state.bundles())
+    scorer = BatchedCandidateScorer(model, base)
     scorer.score(moves)  # computes the base's crossing times
     rates, flows = scorer._solve_chunk([scorer._resolve(move) for move in moves])[:2]
     for k, move in enumerate(moves):
@@ -357,7 +317,7 @@ def test_batched_scores_equal_per_move_exactly(hot_step):
     expected = moved_state_scores(
         hot_step.model, hot_step.state, hot_step.moves, weights
     )
-    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
+    scorer = BatchedCandidateScorer(hot_step.model, hot_step.base, weights)
     assert scorer.score(hot_step.moves) == expected  # bitwise, not approx
 
 
@@ -372,7 +332,7 @@ def test_scores_do_not_depend_on_chunking(hot_step, blocks, monkeypatch):
         hot_step.model, hot_step.state, hot_step.moves, weights
     )
     force_chunk_blocks(monkeypatch, blocks)
-    scorer = BatchedCandidateScorer(hot_step.engine, hot_step.base, weights)
+    scorer = BatchedCandidateScorer(hot_step.model, hot_step.base, weights)
     assert scorer.score(hot_step.moves) == expected
 
 
@@ -384,14 +344,14 @@ def test_batched_scores_equal_per_move_with_tied_satisfy_times(hot_step):
         hot_step.scenario.network, TrafficModelConfig(rtt_fairness=False)
     )
     state, moves, weights = hot_step.state, hot_step.moves, hot_step.weights
-    base = model.engine.compile(state.bundles())
+    base = model.compile(state.bundles())
     satisfy = base.layout.satisfy
     assert np.unique(satisfy).shape[0] < satisfy.shape[0] // 2
     expected = moved_state_scores(model, state, moves, weights)
     for blocks in (None, 3):
         with pytest.MonkeyPatch.context() as monkeypatch:
             force_chunk_blocks(monkeypatch, blocks)
-            scorer = BatchedCandidateScorer(model.engine, base, weights)
+            scorer = BatchedCandidateScorer(model, base, weights)
             assert scorer.score(moves) == expected
 
 
@@ -428,7 +388,7 @@ def test_every_candidate_up_to_level_two_scores_as_its_moved_state(
         )
     ]
     assert sum(state.flows_on(key, path) == n for key, path, _, n in moves) > 0
-    scorer = BatchedCandidateScorer(model.engine, base, weights)
+    scorer = BatchedCandidateScorer(model, base, weights)
     scores = scorer.score(moves)
     assert scores == moved_state_scores(model, state, moves, weights)
     _assert_rates_equal_moved_states(model, state, moves)
@@ -475,7 +435,6 @@ def test_optimizer_selects_identical_moves(name):
     weights = config.priority_weights
     generator = PathGenerator(network)
     model = TrafficModel(network)
-    engine = model.engine
     state = AllocationState.initial(network, scenario.traffic_matrix, generator)
     path_sets = build_path_sets(network, state)
     result = model.evaluate(state.bundles())
@@ -490,7 +449,7 @@ def test_optimizer_selects_identical_moves(name):
                 )
             )
             scores = moved_state_scores(model, state, moves, weights)
-            assert BatchedCandidateScorer(engine, base, weights).score(moves) == scores
+            assert BatchedCandidateScorer(model, base, weights).score(moves) == scores
             step = perform_step(
                 link_id, state, path_sets, model, generator, config, result,
                 escalation,
@@ -559,7 +518,7 @@ def kept_links(network, scorer):
 def assert_scores_equal_moved_states(state, model, base, moves, scorer=None):
     """Score *moves* (with *scorer*, or a fresh one) and check each score,
     and each column rate, against the moved state's evaluation."""
-    scorer = scorer or BatchedCandidateScorer(model.engine, base)
+    scorer = scorer or BatchedCandidateScorer(model, base)
     scores = scorer.score(moves)
     assert scores == moved_state_scores(model, state, moves, None)
     _assert_rates_equal_moved_states(model, state, moves)
@@ -670,16 +629,15 @@ def test_a_second_move_list_widens_the_sub_network():
     second list's link is kept from then on, and the evaluation count stays
     one per candidate plus one base pass."""
     network, state, model, base = diamond_step([HOT, QUIET, SIDE])
-    engine = model.engine
     first = [(HOT.key, ("S", "T"), WIDE, flows) for flows in (60, 300)]
     second = [(HOT.key, ("S", "T"), NARROW, flows) for flows in (60, 300)]
-    scorer = BatchedCandidateScorer(engine, base)
-    before = engine.evaluations
+    scorer = BatchedCandidateScorer(model, base)
+    before = model.evaluations
     first_scores = scorer.score(first)
-    assert engine.evaluations == before + 1 + len(first)
+    assert model.evaluations == before + 1 + len(first)
     assert ("S", "A") not in kept_links(network, scorer)
     second_scores = scorer.score(second)
-    assert engine.evaluations == before + 1 + len(first) + len(second)
+    assert model.evaluations == before + 1 + len(first) + len(second)
     assert ("S", "A") in kept_links(network, scorer)
     assert first_scores == moved_state_scores(model, state, first, None)
     assert second_scores == moved_state_scores(model, state, second, None)
@@ -702,9 +660,8 @@ def test_move_delta_compiles_to_the_moved_state(move):
     bundles."""
     _, state, model, _ = diamond_step([HOT, QUIET])
     state = state.with_move(HOT.key, ("S", "T"), WIDE, 300)
-    engine = model.engine
-    patched = engine.compile_patched(
-        engine.compile(state.bundles()), state.move_delta(*move)
+    patched = model.compile_patched(
+        model.compile(state.bundles()), state.move_delta(*move)
     )
 
     def multiset(bundles):
@@ -746,10 +703,9 @@ def test_random_scenarios_score_as_their_moved_states(seed, rtt_fairness):
                 if to_path != path:
                     for flows in sorted({1, max(1, held // 2), held}):
                         moves.append((key, path, to_path, flows))
-    engine = model.engine
-    before = engine.evaluations
+    before = model.evaluations
     with pytest.MonkeyPatch.context() as monkeypatch:
         force_chunk_blocks(monkeypatch, 4)
-        scores = BatchedCandidateScorer(engine, base).score(moves)
-    assert engine.evaluations == before + 1 + len(moves)
+        scores = BatchedCandidateScorer(model, base).score(moves)
+    assert model.evaluations == before + 1 + len(moves)
     assert scores == moved_state_scores(model, state, moves, None)

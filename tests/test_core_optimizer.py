@@ -19,14 +19,18 @@ from repro.core.step import flows_to_move, perform_step
 from repro.exceptions import AllocationError, OptimizationError
 from repro.experiments.scenarios import build_paper_scenario
 from repro.paths.generator import PathGenerator
+from repro.paths.policy import PathPolicy
 from repro.topology.builders import line_topology, ring_topology, triangle_topology
+from repro.topology.hurricane_electric import reduced_core
 from repro.traffic.classes import LARGE_TRANSFER
+from repro.traffic.generators import paper_traffic_matrix
 from repro.traffic.matrix import TrafficMatrix
 from repro.trafficmodel.compiled import CompiledTrafficModel
-from repro.trafficmodel.waterfill import TrafficModel, reference_evaluate
+from repro.trafficmodel.waterfill import TrafficModel, TrafficModelConfig, reference_evaluate
 from repro.units import kbps, mbps
 from repro.utility.aggregation import PriorityWeights
-from tests.conftest import make_aggregate
+from tests.conftest import crossed_links, make_aggregate
+from tests.test_trafficmodel_compiled import assert_results_close
 
 
 @pytest.fixture
@@ -215,17 +219,35 @@ class TestOptimizerRuns:
         with pytest.raises(Exception):
             FubarOptimizer(triangle, matrix)
 
-    def test_rejects_model_and_config_together(self, congested_triangle):
+    def test_policy_reaches_the_optimizer_through_the_generator(
+        self, congested_triangle
+    ):
         network, matrix = congested_triangle
-        from repro.trafficmodel.waterfill import TrafficModelConfig
+        detour = ("A", "C")
+        assert detour in crossed_links(FubarOptimizer(network, matrix).run().state)
+        avoiding = PathGenerator(network, PathPolicy.avoiding_links([detour]))
+        result = FubarOptimizer(network, matrix, path_generator=avoiding).run()
+        assert detour not in crossed_links(result.state)
 
-        with pytest.raises(OptimizationError):
-            FubarOptimizer(
-                network,
-                matrix,
-                traffic_model=TrafficModel(network),
-                model_config=TrafficModelConfig(),
-            )
+    def test_model_config_reaches_the_optimizer_through_the_model(self):
+        """Under ``rtt_fairness=False`` the run's final result is what the
+        reference model gives its final state under that config, which is
+        not what it gives under the default config."""
+        network = reduced_core(6, capacity_bps=mbps(5))
+        matrix = paper_traffic_matrix(network, seed=2)
+        config = TrafficModelConfig(rtt_fairness=False)
+        result = FubarOptimizer(
+            network,
+            matrix,
+            FubarConfig(max_steps=3),
+            traffic_model=TrafficModel(network, config),
+        ).run()
+        assert result.num_steps > 0
+        bundles = result.state.bundles()
+        assert_results_close(reference_evaluate(network, bundles, config), result.model_result)
+        assert result.network_utility != pytest.approx(
+            reference_evaluate(network, bundles).network_utility()
+        )
 
     def test_priority_weights_change_the_objective(self):
         network = ring_topology(4, capacity_bps=mbps(5))

@@ -138,7 +138,7 @@ class TestControllerCore:
         )
         # Same topology content -> both cores share one generator and engine.
         assert first._generator is second._generator
-        assert first._model.engine is second._model.engine
+        assert first._model is second._model
 
     def test_shared_path_cache_respects_tenant_policy(self):
         # The daemon always hands its cores shared caches built for the

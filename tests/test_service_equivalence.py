@@ -98,9 +98,7 @@ def _reference_control_loop(
 
     def _model_for(topology: Network) -> TrafficModel:
         if model_cache is not None:
-            return TrafficModel.from_engine(
-                model_cache.engine_for(topology, model_config)
-            )
+            return model_cache.engine_for(topology, model_config)
         return TrafficModel(topology, model_config)
 
     current = network
@@ -154,10 +152,7 @@ def _reference_control_loop(
                 routable,
                 config=fubar_config,
                 path_generator=generator,
-                traffic_model=(
-                    _model_for(current) if model_cache is not None else None
-                ),
-                model_config=None if model_cache is not None else model_config,
+                traffic_model=_model_for(current),
             )
             initial_state = None
             initial_path_sets = None

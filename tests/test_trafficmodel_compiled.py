@@ -10,8 +10,8 @@ The contract under test (ISSUE 2):
   evaluation agrees **bit for bit** with a full evaluation of that list —
   rates, satisfied flags, bottlenecks, link loads, link demands and
   aggregate utilities.
-* ``TrafficModel.evaluate`` (the thin wrapper the rest of the code base
-  uses) produces results identical to the engine it delegates to.
+* ``TrafficModel`` is the engine class itself under a second name, and
+  ``traffic_model_for`` hands out a cache's engine itself.
 
 Plus regression tests for the satellite bugfixes: per-run model-evaluation
 counts, non-simple bundle paths, and the n/a improvement-over-shortest-path.
@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro
 from repro.core.optimizer import FubarOptimizer
 from repro.core.state import AllocationState
 from repro.exceptions import TrafficModelError
@@ -29,12 +30,13 @@ from repro.experiments.scenarios import build_paper_scenario
 from repro.topology.builders import triangle_topology
 from repro.topology.graph import Network
 from repro.trafficmodel.bundle import Bundle
-from repro.trafficmodel.compiled import CompiledTrafficModel
+from repro.trafficmodel.compiled import CompiledModelCache, CompiledTrafficModel
 from repro.trafficmodel.waterfill import (
     TrafficModel,
     TrafficModelConfig,
     reference_aggregate_utilities,
     reference_evaluate,
+    traffic_model_for,
 )
 from repro.traffic.aggregate import Aggregate
 from repro.traffic.classes import LARGE_TRANSFER
@@ -252,16 +254,10 @@ class TestReferenceEquivalence:
         aggregate = make_aggregate("A", "C", num_flows=40, demand_bps=kbps(100))
         bundles = [Bundle(aggregate=aggregate, path=("A", "B", "C"), num_flows=40)]
         reference = reference_evaluate(network, bundles)
-        engine = CompiledTrafficModel(network)
-        compiled = engine.compile(bundles)
-        results = [engine.result_of(compiled, engine.solve(compiled))] + [
-            engine.result_of(compiled, solution)
-            for solution in engine.solve_batched([compiled, compiled])
-        ]
+        result = CompiledTrafficModel(network).evaluate(bundles)
         expected_bottleneck = [o.bottleneck_link for o in reference.outcomes]
-        for result in results:
-            assert [o.bottleneck_link for o in result.outcomes] == expected_bottleneck
-            assert result.congested_links == reference.congested_links
+        assert [o.bottleneck_link for o in result.outcomes] == expected_bottleneck
+        assert result.congested_links == reference.congested_links
 
     def test_uncrossed_link_below_absolute_slack(self):
         """A link no bundle crosses, with capacity below the model's absolute
@@ -335,11 +331,15 @@ class TestDeltaEquivalence:
         with pytest.raises(TrafficModelError):
             engine.compile_patched(compiled, {missing: None})
 
-    def test_wrapper_matches_engine(self):
-        network, bundles = random_scenario(6)
-        model = TrafficModel(network)
-        engine = CompiledTrafficModel(network)
-        assert_results_identical(engine.evaluate(bundles), model.evaluate(bundles))
+    def test_traffic_model_is_the_engine(self):
+        """One model class: every public name is the engine, and a cached
+        model is the cache's engine, not a copy or a wrapper of it."""
+        assert repro.TrafficModel is TrafficModel is CompiledTrafficModel
+        network, _ = random_scenario(6)
+        cache = CompiledModelCache()
+        model = traffic_model_for(network, cache=cache)
+        assert model is cache.engine_for(network)
+        assert type(traffic_model_for(network)) is CompiledTrafficModel
 
     def test_row_cache_invalidated_on_utility_change(self):
         network = Network(name="cache")
